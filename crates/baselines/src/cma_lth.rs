@@ -20,13 +20,12 @@ use pa_cga_core::selection::SelectionOp;
 use pa_cga_core::trace::{RunOutcome, ThreadTrace};
 use rand::Rng;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// cMA+LTH parameterization (defaults follow the baseline paper's
 /// magnitudes: 16×16 grid, L5, binary tournament, one-point crossover 0.8,
 /// move mutation 0.4, short LTH each offspring).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmaLthConfig {
     /// Grid columns.
     pub grid_width: usize,

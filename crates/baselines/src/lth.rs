@@ -12,11 +12,10 @@
 use etc_model::EtcInstance;
 use rand::Rng;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The LTH operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TabuHillClimb {
     /// Hill-climbing iterations per application.
     pub iterations: usize,

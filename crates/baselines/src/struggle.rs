@@ -16,13 +16,12 @@ use pa_cga_core::rng::stream_rng;
 use pa_cga_core::trace::{RunOutcome, ThreadTrace};
 use rand::Rng;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Struggle GA parameterization (defaults follow the baseline paper's
 /// magnitudes: steady-state, binary tournament, one-point crossover, move
 /// mutation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StruggleConfig {
     /// Population size (panmictic).
     pub pop_size: usize,

@@ -20,7 +20,7 @@ fn bench_crossover(c: &mut Criterion) {
     let mut offspring = p1.clone();
 
     let mut group = c.benchmark_group("crossover");
-    for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+    for op in CrossoverOp::all() {
         group.bench_with_input(BenchmarkId::from_parameter(op.name()), &op, |b, &op| {
             b.iter(|| {
                 op.recombine_into(&inst, &p1, &p2, &mut offspring, &mut rng);

@@ -218,10 +218,7 @@ pub fn cmd_schedule(args: &Args) -> Result<String, CliError> {
     let instance = load_instance(args)?;
 
     let (schedule, detail) = if let Some(hname) = args.get("heuristic") {
-        let h = Heuristic::all()
-            .into_iter()
-            .find(|h| h.name() == hname)
-            .ok_or_else(|| CliError::Other(format!("unknown heuristic {hname:?}")))?;
+        let h: Heuristic = hname.parse().map_err(CliError::Other)?;
         (h.schedule(&instance), format!("heuristic {hname}"))
     } else {
         let termination = if let Some(e) = args.get("evals") {
@@ -232,12 +229,8 @@ pub fn cmd_schedule(args: &Args) -> Result<String, CliError> {
         } else {
             Termination::wall_time_ms(args.get_parse("time-ms", 2_000u64, "u64")?)
         };
-        let crossover = match args.get("crossover").unwrap_or("tpx") {
-            "opx" => CrossoverOp::OnePoint,
-            "tpx" => CrossoverOp::TwoPoint,
-            "ux" => CrossoverOp::Uniform,
-            other => return Err(CliError::Other(format!("bad crossover {other:?}"))),
-        };
+        let crossover: CrossoverOp =
+            args.get("crossover").unwrap_or("tpx").parse().map_err(CliError::Other)?;
         let config = PaCgaConfig::builder()
             .threads(args.get_parse("threads", 3usize, "usize")?)
             .crossover(crossover)
@@ -379,12 +372,8 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let seed0 = args.get_parse("seed", 0u64, "u64")?;
     let threads = args.get_parse("threads", 1usize, "usize")?;
     let ls = args.get_parse("ls", 10usize, "usize")?;
-    let crossover = match args.get("crossover").unwrap_or("tpx") {
-        "opx" => CrossoverOp::OnePoint,
-        "tpx" => CrossoverOp::TwoPoint,
-        "ux" => CrossoverOp::Uniform,
-        other => return Err(CliError::Other(format!("bad crossover {other:?}"))),
-    };
+    let crossover: CrossoverOp =
+        args.get("crossover").unwrap_or("tpx").parse().map_err(CliError::Other)?;
     let termination = match (args.get("evals"), args.get("gens"), args.get("time-ms")) {
         (Some(e), None, None) => Termination::Evaluations(
             e.parse().map_err(|_| CliError::Other(format!("--evals: cannot parse {e:?}")))?,

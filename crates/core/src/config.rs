@@ -9,14 +9,13 @@ use crate::seeding::Seeding;
 use crate::selection::SelectionOp;
 use crate::sweep::SweepPolicy;
 pub use crate::termination::Termination;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Full PA-CGA parameterization.
 ///
 /// [`PaCgaConfig::paper`] reproduces Table 1 of the paper; everything is
 /// overridable through [`PaCgaConfig::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaCgaConfig {
     /// Grid columns (population width).
     pub grid_width: usize,

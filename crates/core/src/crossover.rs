@@ -14,10 +14,9 @@
 use etc_model::EtcInstance;
 use rand::Rng;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// Recombination policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrossoverOp {
     /// One-point crossover (`opx`): offspring takes `S[0..cut]` from
     /// parent 1 and the tail from parent 2.
@@ -30,6 +29,11 @@ pub enum CrossoverOp {
 }
 
 impl CrossoverOp {
+    /// Every recombination policy.
+    pub fn all() -> [CrossoverOp; 3] {
+        [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform]
+    }
+
     /// Canonical name used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -135,6 +139,19 @@ impl std::fmt::Display for CrossoverOp {
     }
 }
 
+impl std::str::FromStr for CrossoverOp {
+    type Err = String;
+
+    /// Inverse of [`CrossoverOp::name`] — the shared spelling for CLI
+    /// flags, service requests and persisted sessions.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        CrossoverOp::all().into_iter().find(|op| op.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = CrossoverOp::all().iter().map(|op| op.name()).collect();
+            format!("bad crossover {s:?} ({})", names.join("|"))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +213,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let p1 = Schedule::random(&inst, &mut rng);
         let p2 = Schedule::random(&inst, &mut rng);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::all() {
             let off = op.recombine(&inst, &p1, &p2, &mut rng);
             for t in 0..inst.n_tasks() {
                 let g = off.machine_of(t);
@@ -225,7 +242,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(21);
         let p1 = Schedule::random(&inst, &mut rng);
         let p2 = Schedule::random(&inst, &mut rng);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::all() {
             for seed in 0..20 {
                 let mut r1 = SmallRng::seed_from_u64(seed);
                 let mut r2 = SmallRng::seed_from_u64(seed);
@@ -245,9 +262,17 @@ mod tests {
         let inst = EtcInstance::toy(8, 2);
         let p = Schedule::round_robin(&inst);
         let mut rng = SmallRng::seed_from_u64(2);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::all() {
             let off = op.recombine(&inst, &p, &p, &mut rng);
             assert_eq!(off.assignment(), p.assignment(), "{op}");
         }
+    }
+
+    #[test]
+    fn names_round_trip_through_from_str() {
+        for op in CrossoverOp::all() {
+            assert_eq!(op.name().parse(), Ok(op));
+        }
+        assert_eq!("x".parse::<CrossoverOp>(), Err(r#"bad crossover "x" (opx|tpx|ux)"#.into()));
     }
 }

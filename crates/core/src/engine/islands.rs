@@ -18,11 +18,10 @@ use crate::individual::Individual;
 use crate::rng::derive_seed;
 use crate::trace::RunOutcome;
 use etc_model::EtcInstance;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Island-model parameterization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IslandConfig {
     /// Per-island cellular configuration. `threads` is forced to 1 (each
     /// island is one deterministic engine on its own OS thread) and
@@ -62,7 +61,7 @@ impl IslandConfig {
 }
 
 /// Outcome of an island run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IslandOutcome {
     /// Best individual across all islands at the end.
     pub best: Individual,

@@ -4,10 +4,8 @@
 //! (the population itself lives in the engine). Wrap-around on both axes
 //! makes the mesh a torus, so every cell has the same neighborhood shape.
 
-use serde::{Deserialize, Serialize};
-
 /// Dimensions and index arithmetic of the toroidal grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridTopology {
     width: usize,
     height: usize,

@@ -1,7 +1,6 @@
 //! One cell of the cellular population: a schedule plus its cached fitness.
 
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// An individual: a candidate schedule and its fitness (makespan; lower is
 /// better).
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Fitness is cached so that neighbors can inspect it under a brief read
 /// lock without recomputing, and is refreshed by [`Individual::evaluate`]
 /// after the variation operators run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Individual {
     /// The candidate solution.
     pub schedule: Schedule,

@@ -21,10 +21,9 @@
 use etc_model::EtcInstance;
 use rand::Rng;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// The H2LL local search operator ("High to Low Load").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct H2ll {
     /// Number of passes (`iter` in Algorithm 3/4; the paper evaluates 5
     /// and 10).

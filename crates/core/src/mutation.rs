@@ -7,10 +7,9 @@
 use etc_model::EtcInstance;
 use rand::Rng;
 use scheduling::{OffspringBatch, Schedule};
-use serde::{Deserialize, Serialize};
 
 /// Mutation policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationOp {
     /// Move a random task to a random machine (the paper's operator).
     Move,

@@ -10,10 +10,9 @@
 //! access, not index arithmetic.
 
 use crate::grid::GridTopology;
-use serde::{Deserialize, Serialize};
 
 /// Classic cellular GA neighborhood shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborhoodShape {
     /// Von Neumann: N, S, E, W + self (the paper's choice).
     L5,

@@ -3,10 +3,8 @@
 //! The paper replaces the current individual with the offspring only when
 //! the offspring **improves** the fitness ("replace if better", Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// When the offspring may replace the current individual.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Replace only on strict improvement (the paper's policy).
     ReplaceIfBetter,

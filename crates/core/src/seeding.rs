@@ -9,11 +9,10 @@
 use etc_model::EtcInstance;
 use heuristics::Heuristic;
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// How the initial population is built (the rest is always uniformly
 /// random).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Seeding {
     /// All individuals random.
     Random,

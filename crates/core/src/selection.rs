@@ -6,10 +6,9 @@
 //! The paper selects the **best 2** neighbors as parents (Table 1).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parent-selection policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionOp {
     /// The two fittest cells of the neighborhood (the paper's policy).
     BestTwo,

@@ -8,10 +8,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Order in which a thread visits the cells of its block each generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepPolicy {
     /// Ascending index order (the paper's policy).
     LineSweep,

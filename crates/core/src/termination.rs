@@ -5,11 +5,10 @@
 //! evaluation budgets are additionally supported: evaluation budgets make
 //! single-threaded runs deterministic, which the test suite relies on.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// When a run stops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Termination {
     /// Stop after this much wall-clock time (the paper's criterion),
     /// checked at block-generation granularity.

@@ -2,11 +2,10 @@
 //! outcome record consumed by the experiment harnesses.
 
 use crate::individual::Individual;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// What one thread recorded at each of its block generations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThreadTrace {
     /// Mean fitness of the thread's block after each generation.
     pub block_mean: Vec<f64>,
@@ -33,7 +32,7 @@ impl ThreadTrace {
 }
 
 /// Everything a finished run reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The best individual found (over the whole population at the end —
     /// with replace-if-better the population best is the run best).

@@ -46,7 +46,7 @@ proptest! {
         let p1 = Schedule::from_assignment(&inst, a1);
         let p2 = Schedule::from_assignment(&inst, a2);
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::all() {
             let off = op.recombine(&inst, &p1, &p2, &mut rng);
             prop_assert!(check_schedule(&inst, &off).is_ok(), "{op}");
             // Every gene from a parent.
@@ -184,7 +184,7 @@ proptest! {
         let p1 = Schedule::from_assignment(inst, a1);
         let p2 = Schedule::from_assignment(inst, a2);
         let mut rng = SmallRng::seed_from_u64(rng_seed);
-        for xop in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for xop in CrossoverOp::all() {
             let mut off = xop.recombine(inst, &p1, &p2, &mut rng);
             oracle_check(&off, "after crossover");
             for mop in [MutationOp::Move, MutationOp::Swap, MutationOp::Rebalance] {
@@ -211,7 +211,7 @@ proptest! {
         let inst = instance(inst_seed, consistency);
         let p1 = Schedule::from_assignment(&inst, a1);
         let p2 = Schedule::from_assignment(&inst, a2);
-        for xop in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for xop in CrossoverOp::all() {
             for mop in [MutationOp::Move, MutationOp::Swap, MutationOp::Rebalance] {
                 // Schedule path.
                 let mut r1 = SmallRng::seed_from_u64(rng_seed);

@@ -11,10 +11,9 @@
 //! most clearly on the inconsistent, highly heterogeneous instances.
 
 use crate::matrix::EtcMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Consistency class of an ETC matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Consistency {
     /// `c` — a uniform machine speed order exists (Blazewicz `Q`).
     Consistent,

@@ -18,10 +18,9 @@ use crate::instance::EtcInstance;
 use crate::matrix::EtcMatrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the range-based generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorParams {
     /// Number of independent tasks (512 in the paper's benchmark).
     pub n_tasks: usize,

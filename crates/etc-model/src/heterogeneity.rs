@@ -7,10 +7,8 @@
 //! These are the published constants behind the `hihi/hilo/lohi/lolo`
 //! instance families the PA-CGA paper evaluates on.
 
-use serde::{Deserialize, Serialize};
-
 /// A heterogeneity level (applies to tasks or machines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Heterogeneity {
     /// `lo` in instance names.
     Low,

@@ -3,7 +3,6 @@
 
 use crate::matrix::EtcMatrix;
 use crate::ranges::EtcRange;
-use serde::{Deserialize, Serialize};
 
 /// A static independent-task scheduling instance under the ETC model.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// assigned work; the paper's benchmark instances use all-zero ready times
 /// but the model (paper §2.1) includes them, so the substrate carries them
 /// end-to-end.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EtcInstance {
     name: String,
     etc: EtcMatrix,

@@ -13,13 +13,11 @@
 //! lets the layout ablation benchmark measure exactly the effect the paper
 //! claims, on identical data.
 
-use serde::{Deserialize, Serialize};
-
 /// Which in-memory layout an ETC accessor walks.
 ///
 /// Used by the layout-ablation benchmark (`benches/etc_layout.rs`) to
 /// compare the paper's transposed storage against the naive layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatrixLayout {
     /// Rows are tasks: `data[t * n_machines + m]`.
     TaskMajor,
@@ -30,7 +28,7 @@ pub enum MatrixLayout {
 /// An `n_tasks × n_machines` matrix of expected execution times.
 ///
 /// Entries must be strictly positive and finite; constructors check this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EtcMatrix {
     n_tasks: usize,
     n_machines: usize,

@@ -1,10 +1,8 @@
 //! Processing-time ranges, used for the Blazewicz notation and for
 //! validating regenerated instances against the ranges the paper prints.
 
-use serde::{Deserialize, Serialize};
-
 /// The `[min, max]` range of ETC entries (`p_j`) in an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EtcRange {
     /// Smallest processing time.
     pub min: f64,

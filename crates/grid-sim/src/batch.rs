@@ -8,10 +8,9 @@
 
 use crate::reschedule::Rescheduler;
 use etc_model::EtcInstance;
-use serde::{Deserialize, Serialize};
 
 /// One batch: an arrival time and the task ids it contains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchArrival {
     /// When the batch is submitted.
     pub time: f64,
@@ -20,7 +19,7 @@ pub struct BatchArrival {
 }
 
 /// Per-batch outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchStats {
     /// Submission time.
     pub arrival: f64,
@@ -31,7 +30,7 @@ pub struct BatchStats {
 }
 
 /// Whole-run outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// Stats per batch, in arrival order.
     pub batches: Vec<BatchStats>,

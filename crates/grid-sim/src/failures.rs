@@ -5,10 +5,9 @@
 //! from the grid" clause). Traces are either explicit or sampled.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A set of machine-drop events (at most one per machine).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailureTrace {
     /// `(machine, time)` drop events, sorted by time.
     events: Vec<(usize, f64)>,

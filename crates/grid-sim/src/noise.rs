@@ -19,10 +19,9 @@ use crate::simulator::Simulator;
 use etc_model::{EtcInstance, EtcMatrix};
 use pa_cga_core::rng::{derive_seed, splitmix64};
 use scheduling::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// Bounded multiplicative runtime noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Relative half-width ε ≥ 0: factors span `[1/(1+ε), 1+ε]`.
     pub epsilon: f64,

@@ -1,9 +1,7 @@
 //! Simulation outputs: per-task execution records and run-level summary.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened to one task during simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// The machine that finally completed the task.
     pub machine: usize,
@@ -17,7 +15,7 @@ pub struct TaskRecord {
 }
 
 /// Summary of a simulated run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Per-task records, indexed by task id.
     pub tasks: Vec<TaskRecord>,

@@ -96,6 +96,19 @@ impl std::fmt::Display for Heuristic {
     }
 }
 
+impl std::str::FromStr for Heuristic {
+    type Err = String;
+
+    /// Inverse of [`Heuristic::name`] — the shared spelling for CLI
+    /// flags, service requests and persisted sessions.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Heuristic::all().into_iter().find(|h| h.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = Heuristic::all().iter().map(|h| h.name()).collect();
+            format!("bad heuristic {s:?} ({})", names.join("|"))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,5 +130,16 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 7);
+    }
+
+    #[test]
+    fn names_round_trip_through_from_str() {
+        for h in Heuristic::all() {
+            assert_eq!(h.name().parse(), Ok(h));
+        }
+        assert_eq!(
+            "x".parse::<Heuristic>(),
+            Err(r#"bad heuristic "x" (olb|met|mct|min-min|max-min|sufferage|duplex)"#.into())
+        );
     }
 }

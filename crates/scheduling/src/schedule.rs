@@ -2,7 +2,6 @@
 
 use etc_model::EtcInstance;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A complete assignment of every task to one machine, with cached
 /// per-machine completion times and a per-machine **task index**.
@@ -41,7 +40,7 @@ use serde::{Deserialize, Serialize};
 /// over the gap between the two touched machines per move, and buys a
 /// canonical layout: two schedules with equal assignments have
 /// bit-identical indices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// `assignment[t] = m`: task `t` runs on machine `m`.
     assignment: Vec<u32>,
@@ -58,17 +57,14 @@ pub struct Schedule {
     /// `pos[t]`: offset of task `t` within its machine's slice.
     pos: Vec<u32>,
     /// Per-machine write cursors for the counting-sort rebuild — pure
-    /// scratch, excluded from `PartialEq` and serialization (its
-    /// leftover contents depend on rebuild history, not the schedule's
-    /// value).
-    #[serde(skip)]
+    /// scratch, excluded from `PartialEq` (its leftover contents depend
+    /// on rebuild history, not the schedule's value).
     cursors: Vec<u32>,
     /// Index of a machine whose completion time equals the makespan —
     /// maintained by every mutator so [`Schedule::makespan`] is O(1).
     /// Excluded from `PartialEq` (two equal schedules may cache different
     /// argmax indices when completion times tie; the *value*
     /// `completion[max_machine]` is identical either way).
-    #[serde(skip)]
     max_machine: u32,
     /// Set by [`Schedule::load_evaluated_deferred`]: the CSR index does
     /// not match `assignment` yet. Index readers debug-assert this is
@@ -76,7 +72,6 @@ pub struct Schedule {
     /// exist only inside the engines' population cells mid-run (the
     /// replacement hot path skips the counting sort for offspring whose
     /// index nothing will read); every public exit point re-indexes.
-    #[serde(skip)]
     index_stale: bool,
 }
 

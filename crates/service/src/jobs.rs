@@ -801,8 +801,8 @@ impl std::fmt::Debug for JobManager {
     }
 }
 
-/// Terminal transition: persist state + counters, update the in-memory
-/// entry, bump the manager counters.
+/// Terminal transition: persist state + counters, bump the manager
+/// counters, then publish the state on the in-memory entry.
 fn finalize(
     mgr: &JobManager,
     entry: &JobEntry,
@@ -824,7 +824,6 @@ fn finalize(
     entry.elapsed_base_ms.store(manifest.elapsed_ms, Ordering::Relaxed);
     *entry.run_started.lock() = None;
     *entry.error.lock() = error.clone();
-    entry.set_state(state);
     let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
     match state {
         JobState::Done => {
@@ -843,6 +842,9 @@ fn finalize(
         JobState::Stopped => append_progress(&entry.dir, "stopped"),
         _ => {}
     }
+    // Publish last: a status poller that sees the terminal state must
+    // also find it in manifest.json and progress.log.
+    entry.set_state(state);
 }
 
 /// Writes `result.json` + `trace.csv` for a completed job.
@@ -1023,10 +1025,10 @@ fn run_job_inner(
 
     manifest.state = JobState::Running;
     let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
-    entry.set_state(JobState::Running);
     let run_started = Instant::now();
     *entry.run_started.lock() = Some(run_started);
     append_progress(&entry.dir, &format!("running resumed={resumed} threads={}", cfg.threads));
+    entry.set_state(JobState::Running);
 
     // The checkpoint callback runs on engine thread 0: rotate + write
     // the snapshot atomically, then persist manifest + live counters.
@@ -1049,7 +1051,6 @@ fn run_job_inner(
         entry.generations.store(meta.generations, Ordering::Relaxed);
         entry.evaluations.store(meta.evaluations, Ordering::Relaxed);
         entry.best_bits.store(best.to_bits(), Ordering::Relaxed);
-        entry.set_state(JobState::Checkpointed);
         {
             let mut m = manifest_cell.lock();
             m.state = JobState::Checkpointed;
@@ -1063,6 +1064,7 @@ fn run_job_inner(
             &entry.dir,
             &format!("checkpoint gens={} evals={} best={best}", meta.generations, meta.evaluations),
         );
+        entry.set_state(JobState::Checkpointed);
     };
     let hooks = RunHooks {
         checkpoint_every: manifest.checkpoint_gens,
@@ -1105,7 +1107,6 @@ fn run_job_inner(
                     manifest.evaluations = total_evals;
                     manifest.elapsed_ms = total_elapsed;
                     manifest.best = Some(outcome.best.fitness);
-                    entry.set_state(JobState::Checkpointed);
                     // ord: Relaxed — status mirror.
                     entry.elapsed_base_ms.store(total_elapsed, Ordering::Relaxed);
                     *entry.run_started.lock() = None;
@@ -1113,6 +1114,7 @@ fn run_job_inner(
                         &entry.dir.join("manifest.json"),
                         &manifest.to_json(&entry.name),
                     );
+                    entry.set_state(JobState::Checkpointed);
                 }
                 Err(e) => finalize(
                     mgr,

@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a strict parser and compact writer.
 //!
-//! The workspace's vendored `serde` is a no-op stand-in (DESIGN.md §5),
-//! so the service speaks JSON through this hand-rolled module instead:
+//! The workspace has no crates.io dependencies (DESIGN.md §5), so the
+//! service speaks JSON through this hand-rolled module:
 //! ~250 lines covering exactly what a newline-delimited wire protocol
 //! needs. Numbers are `f64` (like JavaScript); objects preserve key
 //! order; the writer emits compact one-line output so every encoded

@@ -42,7 +42,7 @@
 //! Everything runs on `std::net` blocking sockets and `std::thread`,
 //! consistent with the workspace's no-crates.io vendor policy
 //! (DESIGN.md §5); JSON comes from the hand-rolled [`json`] module
-//! because the vendored `serde` is a no-op stand-in.
+//! because the workspace has no crates.io dependencies.
 
 pub mod cache;
 pub mod chaos;

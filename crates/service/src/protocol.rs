@@ -381,11 +381,7 @@ impl StreamOpenRequest {
         }
         let baseline = field_str(v, "baseline")?;
         if let Some(name) = &baseline {
-            if !heuristics::Heuristic::all().iter().any(|h| h.name() == name) {
-                let names: Vec<&str> =
-                    heuristics::Heuristic::all().iter().map(|h| h.name()).collect();
-                return Err(format!("unknown baseline {name:?} ({})", names.join("|")));
-            }
+            name.parse::<heuristics::Heuristic>().map_err(|e| format!("unknown baseline: {e}"))?;
         }
         let grid_side = field_u64(v, "grid")?.unwrap_or(8) as usize;
         if !(2..=32).contains(&grid_side) {
@@ -554,11 +550,9 @@ impl ScheduleRequest {
         if threads == 0 || threads > 64 {
             return Err("\"threads\" must be in 1..=64".into());
         }
-        let crossover = match field_str(v, "crossover")?.as_deref() {
-            None | Some("tpx") => CrossoverOp::TwoPoint,
-            Some("opx") => CrossoverOp::OnePoint,
-            Some("ux") => CrossoverOp::Uniform,
-            Some(other) => return Err(format!("bad crossover {other:?} (opx|tpx|ux)")),
+        let crossover = match field_str(v, "crossover")? {
+            None => CrossoverOp::TwoPoint,
+            Some(name) => name.parse()?,
         };
         Ok(ScheduleRequest {
             id: field_str(v, "id")?,

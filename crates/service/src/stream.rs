@@ -232,9 +232,8 @@ impl StreamSession {
             return Err(corrupt("session.json", format!("grid_side {grid_side}")));
         }
         let crossover = match meta.get("crossover").and_then(Json::as_str) {
-            Some("opx") => CrossoverOp::OnePoint,
-            Some("ux") => CrossoverOp::Uniform,
-            _ => CrossoverOp::TwoPoint,
+            None => CrossoverOp::TwoPoint,
+            Some(name) => name.parse().map_err(|e| corrupt("session.json", e))?,
         };
         // The baseline may be changed (or dropped) at resume time.
         let baseline = match &req.baseline {
@@ -527,14 +526,7 @@ impl StreamSession {
             ("budget_evals", Json::num(self.budget as f64)),
             ("seed", Json::num(self.seed as f64)),
             ("ls", Json::num(self.ls as f64)),
-            (
-                "crossover",
-                Json::str(match self.crossover {
-                    CrossoverOp::OnePoint => "opx",
-                    CrossoverOp::TwoPoint => "tpx",
-                    CrossoverOp::Uniform => "ux",
-                }),
-            ),
+            ("crossover", Json::str(self.crossover.name())),
             ("grid_side", Json::num(self.grid_side as f64)),
             (
                 "down",
@@ -585,12 +577,9 @@ impl StreamSession {
 fn resolve_baseline(name: Option<&str>) -> Result<Option<Heuristic>, StreamFailure> {
     match name {
         None => Ok(None),
-        Some(n) => Heuristic::all()
-            .iter()
-            .find(|h| h.name() == n)
-            .copied()
-            .map(Some)
-            .ok_or_else(|| fail("bad_open", format!("unknown baseline {n:?}"))),
+        Some(n) => {
+            n.parse().map(Some).map_err(|e| fail("bad_open", format!("unknown baseline: {e}")))
+        }
     }
 }
 
@@ -778,6 +767,18 @@ mod tests {
         assert_eq!(s2.population, pop, "population survives the restart");
         assert_eq!(s2.best.to_bits(), best.to_bits());
         assert_eq!(s2.events, 1);
+        drop(s2);
+
+        // A corrupt crossover name in session.json is a typed open
+        // error, not a silent fallback to tpx.
+        let meta_path = tmp.join("sessions/s1/session.json");
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        let corrupted = meta.replace(r#""crossover":"tpx""#, r#""crossover":"zpx""#);
+        assert_ne!(corrupted, meta, "{meta}");
+        std::fs::write(&meta_path, corrupted).unwrap();
+        let (code, msg) = open(true).unwrap_err();
+        assert_eq!(code, "bad_open");
+        assert!(msg.contains(r#"bad crossover "zpx""#), "{msg}");
 
         // Resuming a name that was never opened: typed error.
         let req = decode_open(r#"{"type":"stream.open","session":"ghost","resume":true}"#);

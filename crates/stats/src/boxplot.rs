@@ -7,7 +7,6 @@
 //! "tpx/10 performs better than opx/5 for all instances".
 
 use crate::quartiles::Quartiles;
-use serde::{Deserialize, Serialize};
 
 /// McGill/Tukey notch half-width constant.
 pub const NOTCH_CONSTANT: f64 = 1.57;
@@ -16,7 +15,7 @@ pub const NOTCH_CONSTANT: f64 = 1.57;
 pub const WHISKER_IQR_FACTOR: f64 = 1.5;
 
 /// Full box-plot statistics of one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxplotStats {
     /// Sample size.
     pub n: usize,

@@ -1,9 +1,7 @@
 //! Descriptive statistics over a sample of run results.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a non-empty sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Descriptive {
     /// Sample size.
     pub n: usize,

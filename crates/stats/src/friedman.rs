@@ -4,10 +4,8 @@
 //! (makespans). The p-value uses the χ² approximation with k−1 degrees of
 //! freedom, computed via the regularized lower incomplete gamma function.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a Friedman test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FriedmanResult {
     /// Mean rank per algorithm (1 = best possible).
     pub mean_ranks: Vec<f64>,

@@ -8,10 +8,9 @@
 
 use crate::descriptive::Descriptive;
 use crate::quartiles::percentile;
-use serde::{Deserialize, Serialize};
 
 /// A percentile summary of request latencies, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

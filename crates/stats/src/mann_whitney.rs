@@ -6,10 +6,8 @@
 //! a second, sharper check when comparing operator configurations over
 //! independent runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a two-sided Mann-Whitney U test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannWhitneyResult {
     /// The smaller of U₁ and U₂.
     pub u: f64,

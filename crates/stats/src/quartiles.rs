@@ -1,10 +1,8 @@
 //! Quartiles with linear interpolation (type-7, the MATLAB/NumPy default —
 //! matching the tool the paper used to draw Figure 5).
 
-use serde::{Deserialize, Serialize};
-
 /// First quartile, median and third quartile of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quartiles {
     /// 25th percentile.
     pub q1: f64,

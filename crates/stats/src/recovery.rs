@@ -18,10 +18,9 @@
 //! (p50/p99) because it is what an operator experiences.
 
 use crate::latency::LatencySummary;
-use serde::{Deserialize, Serialize};
 
 /// What one reschedule event measured.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoverySample {
     /// Wall-clock from event receipt to the warm response, in ms.
     pub recovery_ms: f64,

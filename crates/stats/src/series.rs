@@ -7,10 +7,8 @@
 //! generation over every run that reached it, which is exactly how the
 //! paper plots "mean makespan vs generations" for each thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// One aggregated point of the output series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Generation index.
     pub generation: usize,

@@ -27,6 +27,9 @@
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
+#   2d flake the already-built jobs_e2e, stream_e2e and service_e2e test
+#            binaries, 10 rounds of 4 parallel copies each; any failing
+#            copy fails the stage (~40s; skipped under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
 #   4 bench  bench smoke (every criterion bench body runs once) plus the
 #            perf-regression gate: scripts/bench_check.sh --self-test,
@@ -205,6 +208,47 @@ else
     echo "WARN: miri component unavailable on this toolchain — UB gate soft-skipped" >&2
     finish "skipped (no miri)"
   fi
+fi
+
+if [[ "$FAST" == 1 ]]; then
+  skip "2d:flake" "--fast"
+else
+  begin "2d:flake" "service e2e suites, 10 rounds x 4 parallel copies"
+  # The suites are timing-sensitive by nature (daemons, sockets, worker
+  # threads); running copies side by side on a loaded host is what
+  # surfaces an ordering bug that a single serial run hides.
+  FLAKE_BINS=()
+  while IFS= read -r bin; do
+    FLAKE_BINS+=("$bin")
+  done < <(cargo test -q -p pa_cga_service --test jobs_e2e --test stream_e2e \
+    --test service_e2e --no-run --message-format=json \
+    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
+  [[ "${#FLAKE_BINS[@]}" == 3 ]] || {
+    echo "flake: expected 3 test binaries, found ${#FLAKE_BINS[@]}" >&2
+    exit 1
+  }
+  FLAKE_DIR="$(mktemp -d)"
+  for bin in "${FLAKE_BINS[@]}"; do
+    for round in $(seq 1 10); do
+      pids=()
+      for copy in 1 2 3 4; do
+        "$bin" -q >"$FLAKE_DIR/$copy.log" 2>&1 &
+        pids+=($!)
+      done
+      failed=0
+      for copy in 1 2 3 4; do
+        wait "${pids[$((copy - 1))]}" || {
+          failed=1
+          echo "flake: $(basename "$bin") copy $copy failed in round $round:" >&2
+          cat "$FLAKE_DIR/$copy.log" >&2
+        }
+      done
+      [[ "$failed" == 0 ]] || exit 1
+    done
+    echo "flake: $(basename "$bin") passed 10 rounds x 4 copies"
+  done
+  rm -rf "$FLAKE_DIR"
+  finish
 fi
 
 begin "3:doc" "cargo doc --no-deps (warnings denied)"
