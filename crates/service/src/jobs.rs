@@ -190,8 +190,9 @@ impl BudgetKind {
 }
 
 /// The manifest: everything a restarted daemon needs to reconstruct and
-/// resume the job. Persisted atomically on every state transition and
-/// every checkpoint.
+/// resume the job, and the job's only state record. Its [`JobEntry`]
+/// holds the last one written; `JobEntry::commit` persists each state
+/// transition and checkpoint before publishing it.
 #[derive(Debug, Clone)]
 struct Manifest {
     state: JobState,
@@ -239,6 +240,35 @@ impl Manifest {
             raw: v.get("request").cloned().ok_or("manifest: missing request")?,
         })
     }
+
+    /// Reads `<dir>/manifest.json`: boot recovery and archived rows.
+    fn load(dir: &Path) -> Result<Manifest, String> {
+        let text = std::fs::read_to_string(dir.join("manifest.json")).map_err(|e| e.to_string())?;
+        Manifest::from_json(&Json::parse(&text).map_err(|e| e.to_string())?)
+    }
+
+    /// Records `state` with the progress of one engine snapshot.
+    fn record(&mut self, state: JobState, progress: &CheckpointMeta, best: Option<f64>) {
+        self.state = state;
+        self.generations = progress.generations;
+        self.evaluations = progress.evaluations;
+        self.elapsed_ms = progress.elapsed_ms;
+        self.best = best;
+    }
+
+    /// The `job.list` row; `archived_date` is the archive bucket, `None`
+    /// for a live job.
+    fn list_entry(&self, name: &str, archived_date: Option<String>) -> JobListEntry {
+        JobListEntry {
+            job: name.to_string(),
+            state: self.state.as_str().to_string(),
+            live: archived_date.is_none(),
+            generations: self.generations,
+            evaluations: self.evaluations,
+            best_makespan: self.best,
+            archived_date,
+        }
+    }
 }
 
 /// Writes `value` to `path` atomically via the shared temp-file +
@@ -260,90 +290,90 @@ fn append_progress(dir: &Path, event: &str) {
     }
 }
 
-/// One tracked job: live counters plus its on-disk home. Shared between
+/// One tracked job: its manifest plus its on-disk home. Shared between
 /// the worker thread, the checkpoint callback, and status queries.
+///
+/// **Single writer.** Only the job's worker thread, or engine thread 0
+/// inside the checkpoint callback while the worker waits on the run,
+/// ever calls `commit` (before a worker exists, the thread creating the
+/// entry stands in for it). Everyone else only reads.
 pub struct JobEntry {
     name: String,
     dir: PathBuf,
-    state: Mutex<JobState>,
+    budget: BudgetKind,
     /// Cooperative cancel, polled by the engine at sweep boundaries.
     cancel: AtomicBool,
     stop_kind: AtomicU8,
-    generations: AtomicU64,
-    evaluations: AtomicU64,
-    /// Best fitness bits (`u64::MAX` = none observed yet).
-    best_bits: AtomicU64,
-    /// Elapsed before this incarnation (from the resumed checkpoint).
-    elapsed_base_ms: AtomicU64,
-    run_started: Mutex<Option<Instant>>,
-    error: Mutex<Option<String>>,
-    budget: BudgetKind,
+    /// The last manifest written to disk; assigned only by `commit`.
+    manifest: Mutex<Manifest>,
+    /// The live run's start, paired with the elapsed time before it.
+    clock: Mutex<Option<(Instant, u64)>>,
 }
 
 impl JobEntry {
-    fn new(name: &str, dir: PathBuf, manifest: &Manifest, budget: BudgetKind) -> JobEntry {
+    fn new(name: &str, dir: PathBuf, manifest: Manifest, budget: BudgetKind) -> JobEntry {
         JobEntry {
             name: name.to_string(),
             dir,
-            state: Mutex::new(manifest.state),
+            budget,
             cancel: AtomicBool::new(false),
             stop_kind: AtomicU8::new(STOP_NONE),
-            generations: AtomicU64::new(manifest.generations),
-            evaluations: AtomicU64::new(manifest.evaluations),
-            best_bits: AtomicU64::new(manifest.best.map(f64::to_bits).unwrap_or(u64::MAX)),
-            elapsed_base_ms: AtomicU64::new(manifest.elapsed_ms),
-            run_started: Mutex::new(None),
-            error: Mutex::new(manifest.error.clone()),
-            budget,
+            manifest: Mutex::new(manifest),
+            clock: Mutex::new(None),
         }
     }
 
+    /// The job's one transition path: applies `update` to a copy of the
+    /// manifest, writes it to `manifest.json`, appends `event` to
+    /// `progress.log`, and only then installs the copy — so a reader that
+    /// sees a state also finds it on disk. A failed write changes nothing.
+    fn commit(&self, update: impl FnOnce(&mut Manifest), event: &str) -> std::io::Result<()> {
+        let mut next = self.manifest.lock().clone();
+        update(&mut next);
+        write_json_atomic(&self.dir.join("manifest.json"), &next.to_json(&self.name))?;
+        append_progress(&self.dir, event);
+        *self.manifest.lock() = next;
+        Ok(())
+    }
+
     fn state(&self) -> JobState {
-        *self.state.lock()
+        self.manifest.lock().state
     }
 
-    fn set_state(&self, s: JobState) {
-        *self.state.lock() = s;
-    }
-
-    /// Total elapsed including the live incarnation, milliseconds.
+    /// Total elapsed including the live run, milliseconds.
     fn elapsed_ms(&self) -> u64 {
-        // ord: Relaxed — standalone counter; status readers tolerate a
-        // slightly stale figure.
-        let base = self.elapsed_base_ms.load(Ordering::Relaxed);
-        let live = self.run_started.lock().map(|t| t.elapsed().as_millis() as u64).unwrap_or(0);
-        base + live
+        let clock = *self.clock.lock();
+        match clock {
+            Some((started, before)) => before + started.elapsed().as_millis() as u64,
+            None => self.manifest.lock().elapsed_ms,
+        }
     }
 
     /// The wire-facing status body.
     fn status_body(&self) -> JobStatusBody {
-        let state = self.state();
-        // ord: Relaxed — independent progress counters; a status body is
-        // a best-effort snapshot, not a consistent cut.
-        let generations = self.generations.load(Ordering::Relaxed);
-        let evaluations = self.evaluations.load(Ordering::Relaxed);
-        let best_bits = self.best_bits.load(Ordering::Relaxed);
         let elapsed_s = self.elapsed_ms() as f64 / 1e3;
-        let rate = JobProgress { done: evaluations, budget: None, elapsed_s }.per_sec();
+        let m = self.manifest.lock();
+        let rate = JobProgress { done: m.evaluations, budget: None, elapsed_s }.per_sec();
         let eta = match self.budget {
             BudgetKind::Evaluations(e) => {
-                JobProgress { done: evaluations, budget: Some(e), elapsed_s }.eta_s()
+                JobProgress { done: m.evaluations, budget: Some(e), elapsed_s }.eta_s()
             }
             BudgetKind::Generations(g) => {
-                JobProgress { done: generations, budget: Some(g), elapsed_s }.eta_s()
+                JobProgress { done: m.generations, budget: Some(g), elapsed_s }.eta_s()
             }
             BudgetKind::None => None,
         };
+        let live = !m.state.is_terminal();
         JobStatusBody {
             job: self.name.clone(),
-            state: state.as_str().to_string(),
-            generations,
-            evaluations,
-            best_makespan: (best_bits != u64::MAX).then(|| f64::from_bits(best_bits)),
-            evals_per_sec: if state.is_terminal() { None } else { rate },
-            eta_s: if state.is_terminal() { None } else { eta },
+            state: m.state.as_str().to_string(),
+            generations: m.generations,
+            evaluations: m.evaluations,
+            best_makespan: m.best,
+            evals_per_sec: if live { rate } else { None },
+            eta_s: if live { eta } else { None },
             archived_to: None,
-            message: self.error.lock().clone(),
+            message: m.error.clone(),
         }
     }
 }
@@ -441,11 +471,7 @@ impl JobManager {
                 continue;
             }
             let name = dirent.file_name().to_string_lossy().into_owned();
-            let manifest = match std::fs::read_to_string(dir.join("manifest.json"))
-                .map_err(|e| e.to_string())
-                .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-                .and_then(|v| Manifest::from_json(&v))
-            {
+            let manifest = match Manifest::load(&dir) {
                 Ok(m) => m,
                 Err(e) => {
                     eprintln!("pacga serve: skipping job {name:?}: {e}");
@@ -463,30 +489,26 @@ impl JobManager {
                 .as_ref()
                 .map(|r| BudgetKind::of(&r.spec.termination))
                 .unwrap_or(BudgetKind::None);
-            let entry = Arc::new(JobEntry::new(&name, dir.clone(), &manifest, budget));
-            if !manifest.state.is_terminal() {
+            let state = manifest.state;
+            let entry = Arc::new(JobEntry::new(&name, dir, manifest, budget));
+            if !state.is_terminal() {
                 match req {
                     Some(req) => {
-                        append_progress(
-                            &dir,
-                            &format!("recovered state={}", manifest.state.as_str()),
-                        );
+                        append_progress(&entry.dir, &format!("recovered state={}", state.as_str()));
                         // ord: Relaxed — stats counters, no data rides on
                         // them.
                         self.resumed.fetch_add(1, Ordering::Relaxed);
                         self.started.fetch_add(1, Ordering::Relaxed);
                         resumed += 1;
-                        self.spawn_worker(Arc::clone(&entry), req, manifest, true);
+                        self.spawn_worker(Arc::clone(&entry), req, true);
                     }
-                    None => {
-                        finalize(
-                            self,
-                            &entry,
-                            &mut manifest.clone(),
-                            JobState::Failed,
-                            Some("stored request no longer decodes".into()),
-                        );
-                    }
+                    None => finalize(
+                        self,
+                        &entry,
+                        JobState::Failed,
+                        Some("stored request no longer decodes".into()),
+                        None,
+                    ),
                 }
             }
             self.entries.lock().insert(name, entry);
@@ -551,32 +573,22 @@ impl JobManager {
             error: None,
             raw: req.raw.clone(),
         };
-        write_json_atomic(&dir.join("manifest.json"), &manifest.to_json(&name))
-            .map_err(|e| format!("cannot write manifest: {e}"))?;
-        append_progress(&dir, "created");
-
         let budget = BudgetKind::of(&req.spec.termination);
-        let entry = Arc::new(JobEntry::new(&name, dir, &manifest, budget));
-        self.entries.lock().insert(name.clone(), Arc::clone(&entry));
+        let entry = Arc::new(JobEntry::new(&name, dir, manifest, budget));
+        entry.commit(|_| {}, "created").map_err(|e| format!("cannot write manifest: {e}"))?;
+        self.entries.lock().insert(name, Arc::clone(&entry));
         // ord: Relaxed — stats counter.
         self.started.fetch_add(1, Ordering::Relaxed);
-        self.spawn_worker(Arc::clone(&entry), req, manifest, false);
+        self.spawn_worker(Arc::clone(&entry), req, false);
         Ok(entry.status_body())
     }
 
-    fn spawn_worker(
-        self: &Arc<Self>,
-        entry: Arc<JobEntry>,
-        req: JobStartRequest,
-        mut manifest: Manifest,
-        resumed: bool,
-    ) {
+    fn spawn_worker(self: &Arc<Self>, entry: Arc<JobEntry>, req: JobStartRequest, resumed: bool) {
         let mgr = Arc::clone(self);
         let worker_entry = Arc::clone(&entry);
-        let worker_manifest = manifest.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("pacga-job-{}", entry.name))
-            .spawn(move || run_job(&mgr, &worker_entry, req, worker_manifest, resumed));
+            .spawn(move || run_job(&mgr, &worker_entry, req, resumed));
         match spawned {
             Ok(handle) => self.handles.lock().push(handle),
             // Thread exhaustion is an environment failure, not a panic:
@@ -584,9 +596,9 @@ impl JobManager {
             Err(e) => finalize(
                 self,
                 &entry,
-                &mut manifest,
                 JobState::Failed,
                 Some(format!("cannot spawn worker thread: {e}")),
+                None,
             ),
         }
     }
@@ -662,18 +674,7 @@ impl JobManager {
             .entries
             .lock()
             .values()
-            .map(|e| {
-                let body = e.status_body();
-                JobListEntry {
-                    job: body.job,
-                    state: body.state,
-                    live: true,
-                    generations: body.generations,
-                    evaluations: body.evaluations,
-                    best_makespan: body.best_makespan,
-                    archived_date: None,
-                }
-            })
+            .map(|e| e.manifest.lock().list_entry(&e.name, None))
             .collect();
         live.sort_by(|a, b| a.job.cmp(&b.job));
 
@@ -694,19 +695,8 @@ impl JobManager {
                 dirents.flatten().filter_map(|d| d.file_name().into_string().ok()).collect();
             names.sort();
             for name in names {
-                let manifest_path = dir.join(&name).join("manifest.json");
-                let Ok(text) = std::fs::read_to_string(&manifest_path) else { continue };
-                let Ok(parsed) = Json::parse(&text) else { continue };
-                let Ok(manifest) = Manifest::from_json(&parsed) else { continue };
-                live.push(JobListEntry {
-                    job: name,
-                    state: manifest.state.as_str().to_string(),
-                    live: false,
-                    generations: manifest.generations,
-                    evaluations: manifest.evaluations,
-                    best_makespan: manifest.best,
-                    archived_date: Some(bucket.clone()),
-                });
+                let Ok(manifest) = Manifest::load(&dir.join(&name)) else { continue };
+                live.push(manifest.list_entry(&name, Some(bucket.clone())));
             }
         }
         live
@@ -801,50 +791,46 @@ impl std::fmt::Debug for JobManager {
     }
 }
 
-/// Terminal transition: persist state + counters, bump the manager
-/// counters, then publish the state on the in-memory entry.
+/// Terminal transition: bumps the manager counters, then commits
+/// `state`, `error` and, when the run produced them, the final counters
+/// (`progress` and its best fitness).
 fn finalize(
     mgr: &JobManager,
     entry: &JobEntry,
-    manifest: &mut Manifest,
     state: JobState,
     error: Option<String>,
+    progress: Option<(CheckpointMeta, Option<f64>)>,
 ) {
-    manifest.state = state;
-    // ord: Relaxed — the worker thread finalizing is the same thread
-    // that last stored these counters (or joined the one that did).
-    manifest.generations = entry.generations.load(Ordering::Relaxed);
-    manifest.evaluations = entry.evaluations.load(Ordering::Relaxed);
-    manifest.elapsed_ms = entry.elapsed_ms();
-    // ord: Relaxed — same single-writer argument as above.
-    let best = entry.best_bits.load(Ordering::Relaxed);
-    manifest.best = (best != u64::MAX).then(|| f64::from_bits(best));
-    manifest.error = error.clone();
-    // ord: Relaxed — status readers tolerate staleness.
-    entry.elapsed_base_ms.store(manifest.elapsed_ms, Ordering::Relaxed);
-    *entry.run_started.lock() = None;
-    *entry.error.lock() = error.clone();
-    let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
-    match state {
+    // The counters live in memory only; bumping them first means a client
+    // that sees the terminal state also sees it counted.
+    let event = match state {
         JobState::Done => {
             // ord: Relaxed — stats counter.
             mgr.completed.fetch_add(1, Ordering::Relaxed);
-            append_progress(&entry.dir, "done");
+            "done".to_string()
         }
         JobState::Failed => {
             // ord: Relaxed — stats counter.
             mgr.failed.fetch_add(1, Ordering::Relaxed);
-            append_progress(
-                &entry.dir,
-                &format!("failed error={:?}", error.as_deref().unwrap_or("unknown")),
-            );
+            format!("failed error={:?}", error.as_deref().unwrap_or("unknown"))
         }
-        JobState::Stopped => append_progress(&entry.dir, "stopped"),
-        _ => {}
-    }
-    // Publish last: a status poller that sees the terminal state must
-    // also find it in manifest.json and progress.log.
-    entry.set_state(state);
+        _ => "stopped".to_string(),
+    };
+    let elapsed_ms = entry.elapsed_ms();
+    let _ = entry.commit(
+        |m| {
+            m.error = error;
+            match progress {
+                Some((meta, best)) => m.record(state, &meta, best),
+                None => {
+                    m.state = state;
+                    m.elapsed_ms = elapsed_ms;
+                }
+            }
+        },
+        &event,
+    );
+    *entry.clock.lock() = None;
 }
 
 /// Writes `result.json` + `trace.csv` for a completed job.
@@ -852,9 +838,7 @@ fn write_result(
     entry: &JobEntry,
     instance: &etc_model::EtcInstance,
     best: &Individual,
-    generations: u64,
-    evaluations: u64,
-    elapsed_ms: u64,
+    progress: &CheckpointMeta,
     traces: &[pa_cga_core::trace::ThreadTrace],
 ) {
     let result = Json::obj(vec![
@@ -867,9 +851,9 @@ fn write_result(
             "assignment",
             Json::Arr(best.schedule.assignment().iter().map(|&m| Json::num(m as f64)).collect()),
         ),
-        ("generations", Json::num(generations as f64)),
-        ("evaluations", Json::num(evaluations as f64)),
-        ("elapsed_ms", Json::num(elapsed_ms as f64)),
+        ("generations", Json::num(progress.generations as f64)),
+        ("evaluations", Json::num(progress.evaluations as f64)),
+        ("elapsed_ms", Json::num(progress.elapsed_ms as f64)),
     ]);
     let _ = write_json_atomic(&entry.dir.join("result.json"), &result);
 
@@ -884,24 +868,17 @@ fn write_result(
 
 /// The detached worker: admission, checkpoint recovery, the hooked
 /// engine run, and the terminal transition.
-fn run_job(
-    mgr: &Arc<JobManager>,
-    entry: &Arc<JobEntry>,
-    req: JobStartRequest,
-    mut manifest: Manifest,
-    resumed: bool,
-) {
+fn run_job(mgr: &Arc<JobManager>, entry: &Arc<JobEntry>, req: JobStartRequest, resumed: bool) {
     let weight = req.spec.threads.clamp(1, mgr.workers);
     mgr.pool.acquire(weight);
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| run_job_inner(mgr, entry, &req, &mut manifest, resumed)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job_inner(mgr, entry, &req, resumed)));
     if let Err(panic) = outcome {
         let message = panic
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| panic.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "engine panicked".into());
-        finalize(mgr, entry, &mut manifest, JobState::Failed, Some(message));
+        finalize(mgr, entry, JobState::Failed, Some(message), None);
     }
     mgr.pool.release(weight);
 }
@@ -910,14 +887,13 @@ fn run_job_inner(
     mgr: &Arc<JobManager>,
     entry: &Arc<JobEntry>,
     req: &JobStartRequest,
-    manifest: &mut Manifest,
     resumed: bool,
 ) {
     // Cancelled while queued?
     // ord: Relaxed — racing a concurrent stop is benign: a missed kind
     // here is caught by the cancel flag at the first sweep boundary.
     match entry.stop_kind.load(Ordering::Relaxed) {
-        STOP_USER => return finalize(mgr, entry, manifest, JobState::Stopped, None),
+        STOP_USER => return finalize(mgr, entry, JobState::Stopped, None, None),
         // Drain before we even started: leave the on-disk state as-is
         // (queued/checkpointed), the next daemon picks it up.
         STOP_DRAIN => return,
@@ -926,7 +902,7 @@ fn run_job_inner(
 
     let instance = match req.spec.resolve_instance() {
         Ok(i) => i,
-        Err(e) => return finalize(mgr, entry, manifest, JobState::Failed, Some(e)),
+        Err(e) => return finalize(mgr, entry, JobState::Failed, Some(e), None),
     };
     let mut cfg = req.spec.build_config();
     cfg.record_traces = true;
@@ -978,16 +954,8 @@ fn run_job_inner(
         Some((pop, meta)) => (Some(pop), meta),
         None => (None, CheckpointMeta::default()),
     };
-    // ord: Relaxed — single-writer progress mirrors; status queries read
-    // them without cross-field consistency requirements.
-    entry.generations.store(base.generations, Ordering::Relaxed);
-    entry.evaluations.store(base.evaluations, Ordering::Relaxed);
-    entry.elapsed_base_ms.store(base.elapsed_ms, Ordering::Relaxed);
-    if let Some(pop) = &initial {
-        let best = pop.iter().map(|i| i.fitness).fold(f64::INFINITY, f64::min);
-        // ord: Relaxed — same mirror contract as above.
-        entry.best_bits.store(best.to_bits(), Ordering::Relaxed);
-    }
+    let base_best =
+        initial.as_ref().map(|pop| pop.iter().map(|i| i.fitness).fold(f64::INFINITY, f64::min));
 
     // Subtract the budget already spent in earlier incarnations. A job
     // that already met its budget finalizes straight from the snapshot.
@@ -1009,35 +977,26 @@ fn run_job_inner(
             .as_ref()
             .and_then(|pop| pop.iter().min_by(|a, b| a.fitness.total_cmp(&b.fitness)))
         {
-            write_result(
-                entry,
-                &instance,
-                best,
-                base.generations,
-                base.evaluations,
-                base.elapsed_ms,
-                &[],
-            );
+            write_result(entry, &instance, best, &base, &[]);
         }
-        return finalize(mgr, entry, manifest, JobState::Done, None);
+        return finalize(mgr, entry, JobState::Done, None, Some((base, base_best)));
     };
     cfg.termination = remaining;
 
-    manifest.state = JobState::Running;
-    let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
-    let run_started = Instant::now();
-    *entry.run_started.lock() = Some(run_started);
-    append_progress(&entry.dir, &format!("running resumed={resumed} threads={}", cfg.threads));
-    entry.set_state(JobState::Running);
+    let _ = entry.commit(
+        |m| m.record(JobState::Running, &base, base_best),
+        &format!("running resumed={resumed} threads={}", cfg.threads),
+    );
+    let started = Instant::now();
+    *entry.clock.lock() = Some((started, base.elapsed_ms));
 
     // The checkpoint callback runs on engine thread 0: rotate + write
-    // the snapshot atomically, then persist manifest + live counters.
-    let manifest_cell = Mutex::new(manifest.clone());
+    // the snapshot atomically, then commit the manifest.
     let on_checkpoint = |view: &CheckpointView<'_>| {
         let meta = CheckpointMeta {
             generations: base.generations + view.generation,
             evaluations: base.evaluations + view.evaluations,
-            elapsed_ms: base.elapsed_ms + run_started.elapsed().as_millis() as u64,
+            elapsed_ms: base.elapsed_ms + started.elapsed().as_millis() as u64,
         };
         if let Err(e) =
             checkpoint::save_to_path(&ckpt_path, Some(&prev_path), view.population, &meta)
@@ -1046,103 +1005,65 @@ fn run_job_inner(
             return;
         }
         let best = view.best_fitness();
-        // ord: Relaxed — progress mirrors for status queries; the
-        // manifest write below is the durable record.
-        entry.generations.store(meta.generations, Ordering::Relaxed);
-        entry.evaluations.store(meta.evaluations, Ordering::Relaxed);
-        entry.best_bits.store(best.to_bits(), Ordering::Relaxed);
-        {
-            let mut m = manifest_cell.lock();
-            m.state = JobState::Checkpointed;
-            m.generations = meta.generations;
-            m.evaluations = meta.evaluations;
-            m.elapsed_ms = meta.elapsed_ms;
-            m.best = Some(best);
-            let _ = write_json_atomic(&entry.dir.join("manifest.json"), &m.to_json(&entry.name));
-        }
-        append_progress(
-            &entry.dir,
+        let _ = entry.commit(
+            |m| m.record(JobState::Checkpointed, &meta, Some(best)),
             &format!("checkpoint gens={} evals={} best={best}", meta.generations, meta.evaluations),
         );
-        entry.set_state(JobState::Checkpointed);
     };
     let hooks = RunHooks {
-        checkpoint_every: manifest.checkpoint_gens,
+        checkpoint_every: entry.manifest.lock().checkpoint_gens,
         on_checkpoint: Some(&on_checkpoint),
         cancel: Some(&entry.cancel),
     };
 
     let engine = PaCga::new(&instance, cfg.clone());
     let (outcome, population) = engine.run_hooked(initial, &hooks);
-    *manifest = manifest_cell.into_inner();
 
-    let total_gens = base.generations + outcome.generations.first().copied().unwrap_or(0);
-    let total_evals = base.evaluations + outcome.evaluations;
-    let total_elapsed = base.elapsed_ms + run_started.elapsed().as_millis() as u64;
-    // ord: Relaxed — post-run mirror updates; the engine threads are
-    // already joined.
-    entry.generations.store(total_gens, Ordering::Relaxed);
-    entry.evaluations.store(total_evals, Ordering::Relaxed);
-    entry.best_bits.store(outcome.best.fitness.to_bits(), Ordering::Relaxed);
+    let total = CheckpointMeta {
+        generations: base.generations + outcome.generations.first().copied().unwrap_or(0),
+        evaluations: base.evaluations + outcome.evaluations,
+        elapsed_ms: base.elapsed_ms + started.elapsed().as_millis() as u64,
+    };
+    let best = Some(outcome.best.fitness);
 
     // ord: Relaxed — run_hooked joined the engine threads, whose Acquire
     // load of the cancel flag ordered the raiser's stop_kind store
     // before this read (stop raised after the run wound down is caught
     // here directly; either way the kind is coherent).
     match entry.stop_kind.load(Ordering::Relaxed) {
-        STOP_USER => finalize(mgr, entry, manifest, JobState::Stopped, None),
+        STOP_USER => finalize(mgr, entry, JobState::Stopped, None, Some((total, best))),
         STOP_DRAIN => {
             // Park resumable: one final snapshot so the next daemon
             // loses nothing, manifest left `checkpointed`.
-            let meta = CheckpointMeta {
-                generations: total_gens,
-                evaluations: total_evals,
-                elapsed_ms: total_elapsed,
-            };
-            match checkpoint::save_to_path(&ckpt_path, Some(&prev_path), &population, &meta) {
+            match checkpoint::save_to_path(&ckpt_path, Some(&prev_path), &population, &total) {
                 Ok(()) => {
-                    append_progress(&entry.dir, &format!("drain-checkpoint gens={total_gens}"));
-                    manifest.state = JobState::Checkpointed;
-                    manifest.generations = total_gens;
-                    manifest.evaluations = total_evals;
-                    manifest.elapsed_ms = total_elapsed;
-                    manifest.best = Some(outcome.best.fitness);
-                    // ord: Relaxed — status mirror.
-                    entry.elapsed_base_ms.store(total_elapsed, Ordering::Relaxed);
-                    *entry.run_started.lock() = None;
-                    let _ = write_json_atomic(
-                        &entry.dir.join("manifest.json"),
-                        &manifest.to_json(&entry.name),
+                    let _ = entry.commit(
+                        |m| m.record(JobState::Checkpointed, &total, best),
+                        &format!("drain-checkpoint gens={}", total.generations),
                     );
-                    entry.set_state(JobState::Checkpointed);
+                    *entry.clock.lock() = None;
                 }
                 Err(e) => finalize(
                     mgr,
                     entry,
-                    manifest,
                     JobState::Failed,
                     Some(format!("drain checkpoint failed: {e}")),
+                    Some((total, best)),
                 ),
             }
         }
         _ => {
-            write_result(
-                entry,
-                &instance,
-                &outcome.best,
-                total_gens,
-                total_evals,
-                total_elapsed,
-                &outcome.traces,
-            );
+            write_result(entry, &instance, &outcome.best, &total, &outcome.traces);
             append_progress(
                 &entry.dir,
                 &format!(
-                    "completed makespan={} gens={total_gens} evals={total_evals}",
-                    outcome.best.makespan()
+                    "completed makespan={} gens={} evals={}",
+                    outcome.best.makespan(),
+                    total.generations,
+                    total.evaluations
                 ),
             );
-            finalize(mgr, entry, manifest, JobState::Done, None);
+            finalize(mgr, entry, JobState::Done, None, Some((total, best)));
         }
     }
 }
@@ -1235,5 +1156,54 @@ mod tests {
         assert_eq!(JobState::parse("archived"), None);
         assert!(JobState::Done.is_terminal());
         assert!(!JobState::Checkpointed.is_terminal());
+    }
+
+    #[test]
+    fn commit_publishes_only_what_is_on_disk() {
+        let dir = std::env::temp_dir().join(format!("pacga-jobs-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = Manifest {
+            state: JobState::Queued,
+            checkpoint_gens: 5,
+            created_ms: 1_700_000_000_000,
+            generations: 0,
+            evaluations: 0,
+            elapsed_ms: 0,
+            best: None,
+            error: None,
+            raw: Json::obj(vec![("type", Json::str("job.start"))]),
+        };
+        let entry = JobEntry::new("t", dir.clone(), manifest, BudgetKind::Generations(20));
+        let snapshot = |generations: u64| CheckpointMeta {
+            generations,
+            evaluations: generations * 64,
+            elapsed_ms: generations * 10,
+        };
+        let steps = [
+            ("created", JobState::Queued, 0, None),
+            ("running resumed=false threads=1", JobState::Running, 0, None),
+            ("checkpoint gens=5 evals=320 best=1234.5", JobState::Checkpointed, 5, Some(1234.5)),
+            ("done", JobState::Done, 20, Some(1200.25)),
+        ];
+        for (event, state, generations, best) in steps {
+            let update = |m: &mut Manifest| m.record(state, &snapshot(generations), best);
+            entry.commit(update, event).unwrap();
+            assert_eq!(entry.state(), state);
+            let published = entry.manifest.lock().to_json("t");
+            assert_eq!(Manifest::load(&dir).unwrap().to_json("t"), published, "after {event}");
+            let log = std::fs::read_to_string(dir.join("progress.log")).unwrap();
+            let last = log.lines().last().unwrap();
+            assert_eq!(last.split_once(' ').map(|(_, e)| e), Some(event), "{log}");
+        }
+        let body = entry.status_body();
+        assert_eq!((body.generations, body.evaluations), (20, 1280));
+        assert_eq!(body.best_makespan, Some(1200.25));
+
+        // A write that fails installs nothing and logs nothing.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(entry.commit(|m| m.state = JobState::Failed, "failed").is_err());
+        assert_eq!(entry.state(), JobState::Done);
+        assert!(!dir.join("progress.log").exists());
     }
 }

@@ -338,7 +338,9 @@ impl StreamSession {
     }
 
     /// Validates, applies, and reschedules one event. On `Err` the
-    /// world, population, and sequence are untouched.
+    /// world, population, and sequence are untouched, except for
+    /// `persist_failed`: then the event is applied (world, population
+    /// and `seq` all advance) and only the write to disk failed.
     pub fn handle_event(
         &mut self,
         req: StreamEventRequest,

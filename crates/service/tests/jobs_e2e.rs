@@ -236,3 +236,101 @@ fn archive_refuses_live_jobs_and_unknown_jobs_error() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fallback-chain fixture: starts `job` with a 150-generation budget
+/// and `checkpoint_gens` 5, drains once it reports 10 generations, and
+/// asserts it parked `checkpointed` with both snapshots on disk. Returns
+/// the job dir and the generations of `checkpoint.prev.ckpt` (the last
+/// periodic checkpoint before the drain snapshot rotated it aside).
+fn park_with_two_snapshots(dir: &std::path::Path, job: &str) -> (PathBuf, u64) {
+    let first = spawn(dir, 5);
+    let mut client = Client::connect(first.addr()).unwrap();
+    let started = request(&mut client, &job_start_line(job, 150, 5));
+    assert_eq!(started.get("type").unwrap().as_str(), Some("job"), "{started}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let v = job_status(&mut client, job);
+        if v.get("generations").and_then(Json::as_u64).unwrap_or(0) >= 10 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no progress before drain: {v}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(client);
+    first.shutdown();
+    first.join();
+
+    let job_dir = dir.join("jobs").join(job);
+    let manifest =
+        Json::parse(&std::fs::read_to_string(job_dir.join("manifest.json")).unwrap()).unwrap();
+    assert_eq!(manifest.get("state").unwrap().as_str(), Some("checkpointed"), "{manifest}");
+    assert!(job_dir.join("checkpoint.ckpt").is_file());
+    assert!(job_dir.join("checkpoint.prev.ckpt").is_file());
+
+    let log = std::fs::read_to_string(job_dir.join("progress.log")).unwrap();
+    let drain = log.lines().position(|l| l.contains(" drain-checkpoint ")).expect("drain line");
+    let prev_gens = log
+        .lines()
+        .take(drain)
+        .filter_map(|l| l.split_once(" checkpoint gens=")?.1.split(' ').next()?.parse().ok())
+        .last()
+        .expect("a periodic checkpoint before the drain");
+    (job_dir, prev_gens)
+}
+
+/// Flips one byte in the middle of `path`.
+fn corrupt(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// Restarts a daemon on `dir`, waits for `job` to finish, and returns the
+/// progress-log lines this incarnation wrote (from `recovered` on).
+fn resume_to_done(dir: &std::path::Path, job: &str, job_dir: &std::path::Path) -> Vec<String> {
+    let second = spawn(dir, 5);
+    let mut client = Client::connect(second.addr()).unwrap();
+    let done = wait_for_state(&mut client, job, "done");
+    assert_eq!(done.get("generations").unwrap().as_u64(), Some(150), "exact budget: {done}");
+    second.shutdown();
+    second.join();
+    let log = std::fs::read_to_string(job_dir.join("progress.log")).unwrap();
+    let lines: Vec<String> = log.lines().map(str::to_string).collect();
+    let recovered = lines.iter().position(|l| l.contains(" recovered ")).expect("recovered line");
+    lines[recovered..].to_vec()
+}
+
+#[test]
+fn corrupt_latest_checkpoint_resumes_from_previous() {
+    let dir = data_dir("fallback-prev");
+    let (job_dir, prev_gens) = park_with_two_snapshots(&dir, "fallback-1");
+    corrupt(&job_dir.join("checkpoint.ckpt"));
+
+    let lines = resume_to_done(&dir, "fallback-1", &job_dir);
+    let invalid = lines
+        .iter()
+        .position(|l| l.contains(r#" checkpoint-invalid file="checkpoint.ckpt""#))
+        .unwrap_or_else(|| panic!("latest snapshot not rejected: {lines:?}"));
+    let resume = format!(r#" resume-checkpoint file="checkpoint.prev.ckpt" gens={prev_gens} "#);
+    let resumed = lines
+        .iter()
+        .position(|l| l.contains(&resume))
+        .unwrap_or_else(|| panic!("no {resume:?} line: {lines:?}"));
+    assert!(invalid < resumed, "{lines:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn both_checkpoints_corrupt_restarts_fresh() {
+    let dir = data_dir("fallback-fresh");
+    let (job_dir, _) = park_with_two_snapshots(&dir, "fallback-2");
+    corrupt(&job_dir.join("checkpoint.ckpt"));
+    corrupt(&job_dir.join("checkpoint.prev.ckpt"));
+
+    let lines = resume_to_done(&dir, "fallback-2", &job_dir);
+    let invalid = lines.iter().filter(|l| l.contains(" checkpoint-invalid file=")).count();
+    assert_eq!(invalid, 2, "{lines:?}");
+    assert!(!lines.iter().any(|l| l.contains("resume-checkpoint")), "{lines:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -28,8 +28,10 @@
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
 #   2d flake the already-built jobs_e2e, stream_e2e and service_e2e test
-#            binaries, 10 rounds of 4 parallel copies each; any failing
-#            copy fails the stage (~40s; skipped under --fast)
+#            binaries plus the pa-cga-cli SIGKILL tests job_kill_resume
+#            and stream_kill_resume (the recovery path), 10 rounds of 4
+#            parallel copies each; any failing copy fails the stage
+#            (~160s on 2 cores; skipped under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
 #   4 bench  bench smoke (every criterion bench body runs once) plus the
 #            perf-regression gate: scripts/bench_check.sh --self-test,
@@ -213,18 +215,22 @@ fi
 if [[ "$FAST" == 1 ]]; then
   skip "2d:flake" "--fast"
 else
-  begin "2d:flake" "service e2e suites, 10 rounds x 4 parallel copies"
+  begin "2d:flake" "service e2e + kill suites, 10 rounds x 4 parallel copies"
   # The suites are timing-sensitive by nature (daemons, sockets, worker
   # threads); running copies side by side on a loaded host is what
-  # surfaces an ordering bug that a single serial run hides.
+  # surfaces an ordering bug that a single serial run hides. Only test
+  # artifacts are kept: the kill tests also build the `pacga` bin, which
+  # cargo lists too.
   FLAKE_BINS=()
   while IFS= read -r bin; do
     FLAKE_BINS+=("$bin")
-  done < <(cargo test -q -p pa_cga_service --test jobs_e2e --test stream_e2e \
-    --test service_e2e --no-run --message-format=json \
+  done < <(cargo test -q -p pa_cga_service -p pa-cga-cli --test jobs_e2e \
+    --test stream_e2e --test service_e2e --test job_kill_resume \
+    --test stream_kill_resume --no-run --message-format=json \
+    | grep '"kind":\["test"\]' \
     | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
-  [[ "${#FLAKE_BINS[@]}" == 3 ]] || {
-    echo "flake: expected 3 test binaries, found ${#FLAKE_BINS[@]}" >&2
+  [[ "${#FLAKE_BINS[@]}" == 5 ]] || {
+    echo "flake: expected 5 test binaries, found ${#FLAKE_BINS[@]}" >&2
     exit 1
   }
   FLAKE_DIR="$(mktemp -d)"
