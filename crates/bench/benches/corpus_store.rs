@@ -12,6 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use etc_model::braun::{braun_instance, braun_instance_names};
 use etc_model::io::{read_instance, write_instance};
 use etc_model::{binary, EtcInstance};
+use pa_cga_core::checkpoint::Crc32;
 use pa_cga_service::cache::CachedRun;
 use pa_cga_service::store::{StoreBuilder, StoreReader};
 
@@ -90,6 +91,10 @@ fn bench_codecs(c: &mut Criterion) {
     group.bench_function("binary_decode_512x16", |b| {
         b.iter(|| black_box(binary::decode_instance(black_box(&body)).unwrap()))
     });
+
+    // The record CRC `get_instance` verifies before decoding: one 512×16
+    // body, 65 684 bytes (65 536 of them the ETC matrix).
+    group.bench_function("crc32_record", |b| b.iter(|| black_box(Crc32::of(black_box(&body)))));
     group.finish();
 }
 

@@ -260,11 +260,14 @@ pub fn csv_dir() -> Option<std::path::PathBuf> {
 /// Writes a CSV result file when `PA_CGA_CSV_DIR` is set; returns the
 /// note appended to harness output (empty when disabled).
 pub fn maybe_write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let Some(dir) = csv_dir() else {
-        return String::new();
-    };
+    csv_dir().map_or_else(String::new, |dir| write_csv(&dir, name, header, rows))
+}
+
+/// Writes `<dir>/<name>.csv`, creating `dir`; returns the note appended
+/// to harness output.
+fn write_csv(dir: &std::path::Path, name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(&dir)?;
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.csv"));
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
         pa_cga_stats::csv::write_table(&mut file, header, rows)?;
@@ -280,18 +283,21 @@ pub fn maybe_write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> Str
 mod csv_tests {
     use super::*;
 
+    // These tests never touch `PA_CGA_CSV_DIR`: the process environment
+    // is shared by every test thread, and the directory by every
+    // concurrent copy of this binary.
+
     #[test]
     fn disabled_without_env() {
-        std::env::remove_var("PA_CGA_CSV_DIR");
-        assert!(maybe_write_csv("x", &["a"], &[]).is_empty());
+        if std::env::var_os("PA_CGA_CSV_DIR").is_none() {
+            assert!(maybe_write_csv("x", &["a"], &[]).is_empty());
+        }
     }
 
     #[test]
     fn writes_when_enabled() {
-        let dir = std::env::temp_dir().join("pacga_csv_test");
-        std::env::set_var("PA_CGA_CSV_DIR", &dir);
-        let note = maybe_write_csv("smoke", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        std::env::remove_var("PA_CGA_CSV_DIR");
+        let dir = std::env::temp_dir().join(format!("pacga_csv_test_{}", std::process::id()));
+        let note = write_csv(&dir, "smoke", &["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(note.contains("csv written"), "{note}");
         let text = std::fs::read_to_string(dir.join("smoke.csv")).unwrap();
         assert!(text.contains("a,b"));

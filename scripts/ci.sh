@@ -23,7 +23,9 @@
 #            suites (prop_delta, prop_operators, delta_toggle,
 #            stress_fitness) re-run under --release, where float codegen
 #            differs from debug — bit-identity must hold in the optimized
-#            build the benchmarks and production runs actually use
+#            build the benchmarks and production runs actually use; the
+#            table-driven CRC-32 is checked against its bitwise reference
+#            the same way (checkpoint:: unit tests)
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
@@ -178,6 +180,7 @@ begin "2b:delta" "delta-oracle differential gate (--release)"
 cargo test -q --release -p scheduling --test prop_delta
 cargo test -q --release -p pa_cga_core \
   --test prop_operators --test delta_toggle --test stress_fitness
+cargo test -q --release -p pa_cga_core --lib checkpoint::
 finish
 
 if [[ "$FAST" == 1 ]]; then
