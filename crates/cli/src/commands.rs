@@ -70,7 +70,7 @@ USAGE:
                  [--ls N] [--crossover opx|tpx|ux] [--seed S]
                  [--workers W]
   pacga serve    [--addr HOST:PORT] [--workers W] [--queue-cap Q]
-                 [--cache-cap C] [--batch-max B] [--data-dir DIR]
+                 [--cache-cap C] [--data-dir DIR]
                  [--checkpoint-gens N] [--archive-keep-days D]
                  [--corpus FILE.pacst]
   pacga corpus   build [--braun] [--large] [--out FILE.pacst]
@@ -98,12 +98,14 @@ instance) through the portfolio worker pool and prints per-instance
 makespan statistics. --braun accepts prefixes: `u_c_hihi` expands to
 every registry instance starting with it.
 
-`serve` runs the batching scheduler daemon: a TCP JSON-lines protocol
-(one request object per line — see README \"The scheduling daemon\")
-with request batching, an instance-digest result cache, bounded-queue
-backpressure and graceful drain on a `shutdown` request. `bench-serve`
-is the matching load generator; with --shutdown it drains the daemon
-when done.
+`serve` runs the scheduling daemon: a TCP JSON-lines protocol (one
+request object per line — see README \"The scheduling daemon\") that
+answers each request on its connection's thread: --workers engine
+slots shared by every request, an instance-digest result cache, one
+engine run shared by identical requests in flight, `busy` once
+--queue-cap misses wait for a slot, and graceful drain on a `shutdown`
+request. `bench-serve` is the matching load generator; with --shutdown
+it drains the daemon when done.
 
 With --data-dir, `serve` also runs the durable job manager: `pacga job
 start` submits a named crash-safe run that checkpoints every N
@@ -468,7 +470,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `pacga serve` — the batching scheduler daemon. Blocks until a client
+/// `pacga serve` — the scheduling daemon. Blocks until a client
 /// sends `{"type":"shutdown"}`, then drains and reports.
 pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     use pa_cga_service::{serve, ServeConfig};
@@ -478,7 +480,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         workers: args.get_parse("workers", 0usize, "usize")?,
         queue_cap: args.get_parse("queue-cap", 64usize, "usize")?,
         cache_cap: args.get_parse("cache-cap", 128usize, "usize")?,
-        batch_max: args.get_parse("batch-max", 16usize, "usize")?,
         data_dir: args.get("data-dir").map(String::from),
         checkpoint_gens: args.get_parse("checkpoint-gens", 64u64, "u64")?,
         archive_keep_days: match args.get("archive-keep-days") {
@@ -487,15 +488,11 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         },
         corpus: args.get("corpus").map(String::from),
     };
-    if config.batch_max == 0 {
-        return Err(CliError::Other("--batch-max must be positive".into()));
-    }
     if config.checkpoint_gens == 0 {
         return Err(CliError::Other("--checkpoint-gens must be positive".into()));
     }
     let queue_cap = config.queue_cap;
     let cache_cap = config.cache_cap;
-    let batch_max = config.batch_max;
     let workers = config.workers;
     let mut jobs_note = match &config.data_dir {
         Some(dir) => format!(", data-dir={dir}"),
@@ -509,7 +506,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     // after the daemon exits.
     println!(
         "pacga serve: listening on {} (workers={}, queue-cap={queue_cap}, \
-         cache-cap={cache_cap}, batch-max={batch_max}{jobs_note})",
+         cache-cap={cache_cap}{jobs_note})",
         handle.addr(),
         if workers == 0 { "auto".to_string() } else { workers.to_string() },
     );
@@ -951,7 +948,6 @@ pub fn dispatch(tokens: Vec<String>) -> Result<String, CliError> {
                     "workers",
                     "queue-cap",
                     "cache-cap",
-                    "batch-max",
                     "data-dir",
                     "checkpoint-gens",
                     "archive-keep-days",
@@ -1375,13 +1371,6 @@ mod serve_tests {
             dispatch("bench-serve --clients 0".split_whitespace().map(String::from).collect())
                 .unwrap_err();
         assert!(err.to_string().contains("must be positive"), "{err}");
-    }
-
-    #[test]
-    fn serve_validates_batch_max() {
-        let err = dispatch("serve --batch-max 0".split_whitespace().map(String::from).collect())
-            .unwrap_err();
-        assert!(err.to_string().contains("--batch-max"), "{err}");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::config::PaCgaConfig;
 use crate::engine::parallel::EVAL_FLUSH_EVERY;
 use crate::grid::GridTopology;
-use crate::hooks::{CheckpointView, RunHooks};
 use crate::neighborhood::NeighborhoodTable;
 use crate::rng::stream_rng;
 use crate::trace::{RunOutcome, ThreadTrace};
@@ -42,7 +41,7 @@ impl<'a> SyncCga<'a> {
     /// Runs to termination, also returning the final population (for
     /// diversity studies and invariant audits).
     pub fn run_with_population(&self) -> (RunOutcome, Vec<crate::individual::Individual>) {
-        self.run_internal(None, None)
+        self.run_internal(None)
     }
 
     /// Warm-start: evolves an existing population (fitness trusted as
@@ -61,35 +60,12 @@ impl<'a> SyncCga<'a> {
             self.config.population_size(),
             "warm-start population size mismatch"
         );
-        self.run_internal(Some(initial), None)
-    }
-
-    /// Runs with [`RunHooks`] installed (periodic checkpoints at
-    /// generation boundaries, cooperative cancel), optionally warm-started.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is `Some` and does not match the configured
-    /// population size.
-    pub fn run_hooked(
-        &self,
-        initial: Option<Vec<crate::individual::Individual>>,
-        hooks: &RunHooks<'_>,
-    ) -> (RunOutcome, Vec<crate::individual::Individual>) {
-        if let Some(init) = &initial {
-            assert_eq!(
-                init.len(),
-                self.config.population_size(),
-                "warm-start population size mismatch"
-            );
-        }
-        self.run_internal(initial, Some(hooks))
+        self.run_internal(Some(initial))
     }
 
     fn run_internal(
         &self,
         initial: Option<Vec<crate::individual::Individual>>,
-        hooks: Option<&RunHooks<'_>>,
     ) -> (RunOutcome, Vec<crate::individual::Individual>) {
         let cfg = &self.config;
         let instance = self.instance;
@@ -237,19 +213,6 @@ impl<'a> SyncCga<'a> {
             }
             if cfg.termination.should_stop(start, generations, evaluations) {
                 break;
-            }
-            // Run hooks: one branch per generation when none installed.
-            if let Some(h) = hooks {
-                if h.is_cancelled() {
-                    break;
-                }
-                if h.checkpoint_due(generations) {
-                    let view =
-                        CheckpointView { generation: generations, evaluations, population: &pop };
-                    if let Some(cb) = h.on_checkpoint {
-                        cb(&view);
-                    }
-                }
             }
         }
 

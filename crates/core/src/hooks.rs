@@ -6,12 +6,10 @@
 //! the evolving population (to write crash-safe checkpoints every N
 //! generations) and a way to **stop a run early** without killing the
 //! thread (graceful daemon drain, `job.stop`). Both ride through
-//! [`RunHooks`], threaded into the engines by
-//! [`crate::engine::PaCga::run_hooked`] /
-//! [`crate::engine::SyncCga::run_hooked`] and into the portfolio layer by
-//! [`crate::runner::Runnable::run_with_hooks`].
+//! [`RunHooks`], threaded into the parallel engine by
+//! [`crate::engine::PaCga::run_hooked`].
 //!
-//! Cost discipline: with no hooks installed the engines pay one branch
+//! Cost discipline: with no hooks installed the engine pays one branch
 //! per block sweep — nothing per cell, nothing per evaluation — so the
 //! hot path stays inside the `bench_check.sh` perf gate.
 
@@ -31,8 +29,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// of contract.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
-    /// Completed block sweeps of the snapshotting thread (thread 0 in the
-    /// parallel engine; the single thread in the synchronous one).
+    /// Completed block sweeps of the snapshotting thread (thread 0 of
+    /// the parallel engine).
     pub generation: u64,
     /// Evaluations globally accounted at snapshot time (flushed shared
     /// counter plus the snapshotting thread's pending shard).

@@ -25,9 +25,6 @@
 //! * **Panic isolation.** Each job runs under `catch_unwind`; one
 //!   panicking spec yields an `Err` slot in the report and the pool keeps
 //!   draining the queue.
-//! * **Streaming progress.** An optional callback observes every
-//!   completion (index + completed/total), for long sweeps that want a
-//!   ticker.
 //!
 //! The typed surface is [`Portfolio`] over [`RunSpec`]s — anything
 //! implementing the small [`Runnable`] trait ([`PaCga`], [`SyncCga`], the
@@ -63,7 +60,6 @@
 //! [`Termination::Evaluations`]: crate::config::Termination::Evaluations
 
 use crate::engine::{PaCga, SyncCga};
-use crate::hooks::RunHooks;
 use crate::trace::RunOutcome;
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,14 +75,6 @@ use std::time::{Duration, Instant};
 pub trait Runnable {
     /// Executes the run to termination.
     fn run_once(&self) -> RunOutcome;
-
-    /// Executes the run with [`RunHooks`] installed (periodic checkpoint
-    /// callbacks, cooperative cancel). The default ignores the hooks —
-    /// correct for runnables with no safe preemption point (closures,
-    /// heuristics); the engines override it.
-    fn run_with_hooks(&self, _hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_once()
-    }
 
     /// How many pool slots the run occupies while executing (its internal
     /// engine thread count). Weight-1 jobs pack `workers` at a time; a
@@ -107,10 +95,6 @@ impl Runnable for PaCga<'_> {
         self.run()
     }
 
-    fn run_with_hooks(&self, hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_hooked(None, hooks).0
-    }
-
     fn weight(&self) -> usize {
         self.config().threads
     }
@@ -119,10 +103,6 @@ impl Runnable for PaCga<'_> {
 impl Runnable for SyncCga<'_> {
     fn run_once(&self) -> RunOutcome {
         self.run()
-    }
-
-    fn run_with_hooks(&self, hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_hooked(None, hooks).0
     }
 }
 
@@ -139,13 +119,6 @@ impl<'a> RunSpec<'a> {
     pub fn new(label: impl Into<String>, job: impl Runnable + Send + Sync + 'a) -> Self {
         let weight = job.weight().max(1);
         Self { label: label.into(), weight, job: Box::new(job) }
-    }
-
-    /// Overrides the declared weight (e.g. an island model whose
-    /// parallelism is not visible through [`Runnable::weight`]).
-    pub fn with_weight(mut self, weight: usize) -> Self {
-        self.weight = weight.max(1);
-        self
     }
 
     /// The spec's pool weight.
@@ -172,7 +145,8 @@ pub struct JobPanic {
 }
 
 impl JobPanic {
-    fn from_payload(payload: Box<dyn std::any::Any + Send>) -> Self {
+    /// Renders a `catch_unwind` payload.
+    pub fn from_payload(payload: Box<dyn std::any::Any + Send>) -> Self {
         let message = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -193,21 +167,9 @@ impl std::fmt::Display for JobPanic {
 /// One job's result slot: the outcome, or the panic that replaced it.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-/// A completion notification streamed to [`Portfolio::on_progress`]
-/// callbacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressEvent {
-    /// Submission index of the job that just finished.
-    pub index: usize,
-    /// Jobs finished so far (including this one).
-    pub completed: usize,
-    /// Portfolio size.
-    pub total: usize,
-}
-
 /// Counting semaphore (std has none): guards the pool's admitted weight.
-/// Also used by the service's durable job manager to admit resumed jobs
-/// against the daemon's worker budget.
+/// The service uses it too: its schedule requests and its durable job
+/// manager each hold one, sized by the daemon's worker budget.
 #[derive(Debug)]
 pub struct Semaphore {
     permits: Mutex<usize>,
@@ -260,11 +222,7 @@ pub fn resolve_workers(requested: Option<usize>, jobs: usize) -> usize {
 /// closures, each run under `catch_unwind` so a panicking job surrenders
 /// only its own slot. Weights are clamped to the pool capacity; the sum
 /// of the weights executing at any instant never exceeds `workers`.
-pub fn run_weighted_jobs<T, F>(
-    jobs: Vec<(usize, F)>,
-    workers: usize,
-    progress: Option<&(dyn Fn(ProgressEvent) + Sync)>,
-) -> Vec<JobResult<T>>
+pub fn run_weighted_jobs<T, F>(jobs: Vec<(usize, F)>, workers: usize) -> Vec<JobResult<T>>
 where
     F: FnOnce() -> T + Send,
     T: Send,
@@ -283,7 +241,6 @@ where
     }
     let results: Vec<Mutex<Option<JobResult<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
     let capacity = Semaphore::new(workers);
 
     std::thread::scope(|scope| {
@@ -301,13 +258,6 @@ where
                 let result = catch_unwind(AssertUnwindSafe(job)).map_err(JobPanic::from_payload);
                 capacity.release(weights[i]);
                 *results[i].lock() = Some(result);
-                // ord: Relaxed — monotonic progress counter; fetch_add
-                // returns a globally unique count and the result slot was
-                // already published under its Mutex above.
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(notify) = progress {
-                    notify(ProgressEvent { index: i, completed: done, total });
-                }
             });
         }
     });
@@ -326,7 +276,7 @@ where
     T: Send,
 {
     let workers = resolve_workers(None, jobs.len());
-    run_weighted_jobs(jobs.into_iter().map(|j| (1, j)).collect(), workers, None)
+    run_weighted_jobs(jobs.into_iter().map(|j| (1, j)).collect(), workers)
 }
 
 /// A portfolio of [`RunSpec`]s awaiting execution.
@@ -334,13 +284,12 @@ where
 pub struct Portfolio<'a> {
     specs: Vec<RunSpec<'a>>,
     workers: Option<usize>,
-    progress: Option<Box<dyn Fn(ProgressEvent) + Sync + 'a>>,
 }
 
 impl<'a> Portfolio<'a> {
     /// An empty portfolio.
     pub fn new() -> Self {
-        Self { specs: Vec::new(), workers: None, progress: None }
+        Self { specs: Vec::new(), workers: None }
     }
 
     /// Appends a spec; its index is the current portfolio size.
@@ -375,12 +324,6 @@ impl<'a> Portfolio<'a> {
         self
     }
 
-    /// Installs a streaming completion callback.
-    pub fn on_progress(mut self, notify: impl Fn(ProgressEvent) + Sync + 'a) -> Self {
-        self.progress = Some(Box::new(notify));
-        self
-    }
-
     /// Executes every spec and collects results keyed by submission
     /// index.
     pub fn execute(self) -> PortfolioReport {
@@ -394,7 +337,7 @@ impl<'a> Portfolio<'a> {
             let job = spec.job;
             jobs.push((spec.weight, Box::new(move || job.run_once())));
         }
-        let results = run_weighted_jobs(jobs, workers, self.progress.as_deref());
+        let results = run_weighted_jobs(jobs, workers);
         PortfolioReport { labels, results, workers, elapsed: start.elapsed() }
     }
 }
@@ -517,33 +460,9 @@ mod tests {
     fn weights_clamp_and_admit() {
         // A weight larger than the pool must clamp, not deadlock.
         let jobs: Vec<(usize, _)> = (0..4).map(|i| (usize::MAX, move || i * 2)).collect();
-        let out = run_weighted_jobs(jobs, 2, None);
+        let out = run_weighted_jobs(jobs, 2);
         let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn progress_events_cover_every_job() {
-        let seen = Mutex::new(Vec::new());
-        let jobs: Vec<_> = (0..5).map(|i| move || i).collect();
-        let workers = 2;
-        let results = run_weighted_jobs(
-            jobs.into_iter().map(|j| (1, j)).collect(),
-            workers,
-            Some(&|e: ProgressEvent| seen.lock().push(e)),
-        );
-        assert_eq!(results.len(), 5);
-        let mut events = seen.into_inner();
-        assert_eq!(events.len(), 5);
-        events.sort_by_key(|e| e.index);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.index, i);
-            assert_eq!(e.total, 5);
-        }
-        // `completed` counts are a permutation of 1..=5.
-        let mut counts: Vec<usize> = events.iter().map(|e| e.completed).collect();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -68,8 +68,7 @@ impl ScheduleCache {
         }
     }
 
-    /// Peeks without touching recency or hit/miss counters (used by the
-    /// batch planner to decide which requests need a run).
+    /// Peeks without touching recency or hit/miss counters.
     pub fn contains(&self, digest: u64) -> bool {
         self.map.contains_key(&digest)
     }

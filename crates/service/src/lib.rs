@@ -4,26 +4,29 @@
 //! grids where requests arrive continuously. This crate turns the
 //! single-shot engine into a long-running service: a multi-threaded TCP
 //! **JSON-lines** daemon that accepts ETC scheduling requests (inline
-//! matrix, Braun registry name, or generator spec), executes them in
-//! coalesced batches through the [`pa_cga_core::runner`] worker pool,
-//! and streams back schedule + makespan + run stats.
+//! matrix, Braun registry name, or generator spec), answers each on its
+//! connection's own thread with the engine slots of `--workers` shared
+//! through a [`pa_cga_core::runner::Semaphore`], and streams back
+//! schedule + makespan + run stats.
 //!
 //! Production touches:
 //!
-//! * **Request batching** — queued requests coalesce into one portfolio
-//!   submission per scheduler pass ([`server`]).
+//! * **In-flight coalescing** — a request whose identical twin is
+//!   already running rides along on that run instead of starting its
+//!   own ([`server`]).
 //! * **Memoization** — an instance-digest LRU cache answers repeated
 //!   identical requests without re-running the engine ([`cache`]).
-//! * **Backpressure** — a bounded queue; overflow gets an explicit
-//!   `busy` response instead of unbounded buffering.
-//! * **Graceful drain** — `shutdown` stops intake, finishes everything
-//!   queued, then exits with a summary.
+//! * **Backpressure** — at most `--queue-cap` cache misses wait for
+//!   engine slots; one more gets an explicit `busy` response instead of
+//!   unbounded buffering.
+//! * **Graceful drain** — `shutdown` stops intake, answers every request
+//!   already admitted, then exits with a summary.
 //! * **Durable jobs** — with `--data-dir`, long runs become crash-safe
 //!   named jobs: periodic atomic checkpoints, resume-on-restart, and a
 //!   `job.start`/`job.status`/`job.log`/`job.stop`/`job.archive`
 //!   lifecycle ([`jobs`]).
 //! * **Observability** — a `stats` request returns uptime, throughput,
-//!   cache hit/miss counters and batch shape ([`protocol`]).
+//!   cache hit/miss counters and engine-run counts ([`protocol`]).
 //! * **Persistent corpus** — with `--corpus`, the digest LRU warm-loads
 //!   from a binary `.pacst` store on boot (hits answered before the
 //!   first engine spin-up) and persists back on drain ([`store`];

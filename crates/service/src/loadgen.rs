@@ -6,8 +6,8 @@
 //!
 //! Requests cycle through `distinct` generator-spec shapes shared by
 //! every client, so with `requests >= 2 * distinct` the run is also a
-//! cache demonstration: the first cycle misses (or coalesces onto an
-//! in-flight batch), later cycles hit.
+//! cache demonstration: the first cycle misses (or rides along on an
+//! identical run in flight), later cycles hit.
 
 use crate::client::{Client, ClientError, RetryPolicy, RobustClient};
 use crate::json::Json;
@@ -70,7 +70,8 @@ pub struct LoadReport {
     pub ok: u64,
     /// Of those, answered from the server cache.
     pub cached: u64,
-    /// Of those, coalesced onto an identical in-batch run.
+    /// Of those, answered by riding along on an identical run already in
+    /// flight.
     pub coalesced: u64,
     /// `busy` responses received.
     pub busy: u64,
@@ -112,13 +113,11 @@ impl std::fmt::Display for LoadReport {
             let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
             writeln!(
                 f,
-                "server   : cache {} hits / {} misses ({} entries), {} batches (max {}), \
-                 {} evaluations",
+                "server   : cache {} hits / {} misses ({} entries), {} runs, {} evaluations",
                 n("cache_hits"),
                 n("cache_misses"),
                 n("cache_entries"),
                 n("batches"),
-                n("max_batch"),
                 n("evaluations"),
             )?;
         }

@@ -44,10 +44,11 @@
 //!   the session answers `stream_error` and stays alive.
 //! * `stream.close` — end the session, get its recovery summary.
 //!
-//! Responses: `result`, `busy` (backpressure: bounded queue full, or
-//! draining), `error`, `stats`, `ok`, `job` (job status), `job_log`,
-//! `job_list`, `stream_opened`, `stream_result`, `stream_error`
-//! (typed: `code` + `message` + `expected_seq`), `stream_closed`.
+//! Responses: `result`, `busy` (backpressure: too many misses waiting
+//! for engine slots, or draining), `error`, `stats`, `ok`, `job` (job
+//! status), `job_log`, `job_list`, `stream_opened`, `stream_result`,
+//! `stream_error` (typed: `code` + `message` + `expected_seq`),
+//! `stream_closed`.
 
 use crate::json::Json;
 use etc_model::{
@@ -743,16 +744,17 @@ pub enum Response {
         engine_ms: f64,
         /// Whether the answer came from the memoization cache.
         cached: bool,
-        /// Whether the request was coalesced onto an identical in-batch
-        /// run instead of executing separately.
+        /// Whether the request rode along on an identical run already in
+        /// flight instead of executing separately.
         coalesced: bool,
         /// Task→machine assignment (when requested).
         assignment: Option<Vec<u32>>,
     },
-    /// Backpressure: the request was NOT queued and will not be
-    /// answered; retry later.
+    /// Backpressure: the request was refused and will not be answered;
+    /// retry later.
     Busy {
-        /// Why (`"queue full"` or `"draining"`).
+        /// Why: `"queue full"` (`queue_cap` cache misses already wait for
+        /// engine slots) or `"draining"` (the daemon is shutting down).
         reason: String,
     },
     /// The request failed.
@@ -947,7 +949,7 @@ pub struct JobStatusBody {
 pub struct StatsSnapshot {
     /// Seconds since the listener came up.
     pub uptime_s: f64,
-    /// Schedule requests accepted into the queue.
+    /// Schedule requests admitted past the drain check.
     pub received: u64,
     /// Schedule requests answered with a `result`.
     pub completed: u64,
@@ -966,12 +968,11 @@ pub struct StatsSnapshot {
     /// Cache entries warm-loaded from the `--corpus` store at boot (0
     /// without a corpus; see FORMAT.md).
     pub cache_persisted: u64,
-    /// In-batch duplicate requests served by one run.
+    /// Requests answered by riding along on an identical run in flight.
     pub coalesced: u64,
-    /// Batches executed.
+    /// Engine runs started (the wire key keeps its older name,
+    /// `batches`).
     pub batches: u64,
-    /// Largest batch coalesced so far.
-    pub max_batch: u64,
     /// Total engine evaluations spent.
     pub evaluations: u64,
     /// Completed requests per second of uptime.
@@ -1090,7 +1091,6 @@ impl Response {
                 ("cache_persisted", Json::num(s.cache_persisted as f64)),
                 ("coalesced", Json::num(s.coalesced as f64)),
                 ("batches", Json::num(s.batches as f64)),
-                ("max_batch", Json::num(s.max_batch as f64)),
                 ("evaluations", Json::num(s.evaluations as f64)),
                 ("req_per_sec", Json::num(s.req_per_sec)),
                 ("jobs_started", Json::num(s.jobs_started as f64)),

@@ -1,46 +1,43 @@
-//! The batching scheduler daemon behind `pacga serve`.
+//! The scheduling daemon behind `pacga serve`.
 //!
 //! Thread topology (all `std::net` / `std::thread`, per the vendor
 //! policy in DESIGN.md §5):
 //!
 //! ```text
-//! acceptor ──spawns──▶ one handler thread per connection
-//!                          │  parse line → control requests answered
-//!                          │  inline; schedule requests try_enqueue
+//! acceptor ──spawns──▶ one handler thread per connection, which answers
+//!                      every request itself: control verbs inline,
+//!                      stream sessions and schedule misses run their
+//!                      engine on it
+//!                          │  schedule: drain check → resolve → digest
+//!                          │  → cache hit, or ride along on a twin in
+//!                          │  flight, or wait for engine slots (at most
+//!                          │  `queue_cap` misses wait; more get "busy")
 //!                          ▼
-//!                bounded queue (Mutex<VecDeque> + Condvar)
-//!                          │          full → "busy" backpressure
-//!                          ▼
-//!                scheduler thread: drains up to `batch_max` queued
-//!                requests into ONE portfolio submission
-//!                          │  cache hits answered without running;
-//!                          │  in-batch duplicates coalesced onto one run
-//!                          ▼
-//!            pa_cga_core::runner::Portfolio (weights = engine threads,
-//!            capacity = --workers ⇒ concurrent requests never
+//!            pa_cga_core::runner::Semaphore (capacity = --workers,
+//!            weight = engine threads ⇒ concurrent misses never
 //!            oversubscribe the host)
 //! ```
 //!
 //! Shutdown: a `shutdown` request (or [`ServerHandle::shutdown`]) stops
-//! the acceptor, the scheduler drains everything already queued, every
-//! waiting client gets its answer, and [`ServerHandle::join`] returns a
-//! [`ServeSummary`].
+//! the acceptor and refuses new schedule requests with `busy`; every
+//! request admitted before it still gets its answer, and
+//! [`ServerHandle::join`] waits for all of them before it persists the
+//! corpus and returns a [`ServeSummary`].
 
 use crate::cache::{CachedRun, ScheduleCache};
 use crate::jobs::JobManager;
 use crate::protocol::{Request, Response, ScheduleRequest, StatsSnapshot, StreamOpenRequest};
 use crate::store::{StoreBuilder, StoreReader};
 use crate::stream::StreamSession;
-use pa_cga_core::config::PaCgaConfig;
 use pa_cga_core::engine::PaCga;
-use pa_cga_core::runner::{resolve_workers, Portfolio, RunSpec};
+use pa_cga_core::runner::{resolve_workers, JobPanic, Semaphore};
 use pa_cga_core::trace::RunOutcome;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,15 +48,14 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Engine worker-pool capacity shared by every batch; 0 = one slot
-    /// per available core.
+    /// Engine slots shared by every schedule miss; 0 = one slot per
+    /// available core.
     pub workers: usize,
-    /// Bounded-queue depth; requests beyond it get `busy`.
+    /// Most schedule misses waiting for engine slots; a miss beyond it
+    /// gets `busy`.
     pub queue_cap: usize,
     /// Memoization cache entries (0 disables caching).
     pub cache_cap: usize,
-    /// Most requests coalesced into one portfolio submission.
-    pub batch_max: usize,
     /// Durable-job data directory; `None` disables the `job.*` verbs
     /// and named (durable) stream sessions.
     pub data_dir: Option<String>,
@@ -83,7 +79,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_cap: 64,
             cache_cap: 128,
-            batch_max: 16,
             data_dir: None,
             checkpoint_gens: 64,
             archive_keep_days: None,
@@ -92,10 +87,55 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued schedule request plus the channel its handler waits on.
-struct Job {
-    request: ScheduleRequest,
-    reply: mpsc::Sender<Response>,
+/// Schedule-request bookkeeping, all under one lock so that the drain
+/// count, the count of misses waiting for slots and the in-flight set
+/// change together.
+struct Intake {
+    /// Schedule requests past the drain check and not yet answered:
+    /// [`ServerHandle::join`] waits for zero.
+    admitted: usize,
+    /// Misses waiting for engine slots (at most `queue_cap`).
+    waiting: usize,
+    /// Digest → the engine run computing it. A twin rides along on the
+    /// run instead of starting its own.
+    in_flight: HashMap<u64, Arc<Flight>>,
+}
+
+/// One engine run's answer, handed to every request riding along on it.
+struct Flight {
+    result: Mutex<Option<Result<CachedRun, String>>>,
+    done: Condvar,
+}
+
+impl Flight {
+    fn finish(&self, result: Result<CachedRun, String>) {
+        *self.result.lock() = Some(result);
+        self.done.notify_all();
+    }
+
+    fn wait(&self) -> Result<CachedRun, String> {
+        let mut result = self.result.lock();
+        loop {
+            if let Some(r) = result.as_ref() {
+                return r.clone();
+            }
+            result = self.done.wait(result);
+        }
+    }
+}
+
+/// An admitted schedule request: dropping it counts the request
+/// answered and wakes a draining [`ServerHandle::join`].
+struct Admitted<'a>(&'a Shared);
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let mut intake = self.0.intake.lock();
+        intake.admitted -= 1;
+        if intake.admitted == 0 {
+            self.0.answered.notify_all();
+        }
+    }
 }
 
 #[derive(Default)]
@@ -105,8 +145,7 @@ struct Metrics {
     errors: AtomicU64,
     busy: AtomicU64,
     coalesced: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
+    runs: AtomicU64,
     evaluations: AtomicU64,
 }
 
@@ -123,21 +162,17 @@ impl Metrics {
         // ord: Relaxed — same advisory-counter contract as `bump`.
         counter.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Raises a high-water-mark counter to at least `n`.
-    fn raise(counter: &AtomicU64, n: u64) {
-        // ord: Relaxed — same advisory-counter contract as `bump`.
-        counter.fetch_max(n, Ordering::Relaxed);
-    }
 }
 
 struct Shared {
     addr: SocketAddr,
     workers: usize,
     queue_cap: usize,
-    batch_max: usize,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
+    /// Engine slots (`workers` of them) taken by schedule misses.
+    slots: Semaphore,
+    intake: Mutex<Intake>,
+    /// Signalled when `intake.admitted` drops to zero.
+    answered: Condvar,
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: Mutex<ScheduleCache>,
@@ -166,23 +201,124 @@ struct Shared {
 }
 
 impl Shared {
-    fn try_enqueue(&self, request: ScheduleRequest) -> Result<mpsc::Receiver<Response>, String> {
-        let mut queue = self.queue.lock();
-        // ord: Relaxed — checked under the queue mutex; the drain
-        // trigger bridges the same mutex before notifying, so the flag
-        // and the queue state stay coherent.
+    /// Counts a schedule request in for the drain, unless the daemon is
+    /// already draining.
+    fn admit(&self) -> Option<Admitted<'_>> {
+        let mut intake = self.intake.lock();
+        // ord: Relaxed — checked under the intake mutex, which the drain
+        // trigger bridges after raising the flag and `join` takes only
+        // after the acceptor saw the flag: a request either sees the
+        // flag or is counted before `join` looks.
         if self.shutdown.load(Ordering::Relaxed) {
-            return Err("draining".into());
+            return None;
         }
-        if queue.len() >= self.queue_cap {
-            return Err("queue full".into());
-        }
-        let (tx, rx) = mpsc::channel();
-        queue.push_back(Job { request, reply: tx });
+        intake.admitted += 1;
         Metrics::bump(&self.metrics.received);
-        drop(queue);
-        self.queue_cv.notify_one();
-        Ok(rx)
+        Some(Admitted(self))
+    }
+
+    /// Answers one `schedule` request on the calling connection thread:
+    /// from the cache, by riding along on an identical run in flight,
+    /// or by running the engine once engine slots are free.
+    fn schedule(&self, request: ScheduleRequest) -> Response {
+        let Some(_admitted) = self.admit() else {
+            return self.busy("draining");
+        };
+        let instance = match request.resolve_instance() {
+            Ok(i) => i,
+            Err(message) => return self.error(&request, message),
+        };
+        // A request may not ask for more engine threads than there are
+        // slots: the weight would clamp but the engine would still spawn
+        // every thread, oversubscribing the host.
+        if request.threads > self.workers {
+            let message = format!(
+                "\"threads\" = {} exceeds the server's worker pool ({})",
+                request.threads, self.workers
+            );
+            return self.error(&request, message);
+        }
+        let digest = request.digest(&instance);
+        // Each response echoes its own request's name: the digest covers
+        // the matrix bytes, not the label.
+        let name = instance.name();
+
+        // The cache and the in-flight set are read under the intake lock,
+        // and a run leaves the set under it only after its cache insert,
+        // so at most one engine run per digest is ever going.
+        let flight = {
+            let mut intake = self.intake.lock();
+            if let Some(run) = self.cache.lock().get(digest) {
+                drop(intake);
+                return self.answer(&request, name, Ok(run), true, false);
+            }
+            if let Some(twin) = intake.in_flight.get(&digest).cloned() {
+                drop(intake);
+                return self.answer(&request, name, twin.wait(), false, true);
+            }
+            if intake.waiting >= self.queue_cap {
+                drop(intake);
+                return self.busy("queue full");
+            }
+            intake.waiting += 1;
+            let flight = Arc::new(Flight { result: Mutex::new(None), done: Condvar::new() });
+            intake.in_flight.insert(digest, Arc::clone(&flight));
+            flight
+        };
+
+        let weight = request.threads.clamp(1, self.workers);
+        self.slots.acquire(weight);
+        self.intake.lock().waiting -= 1;
+        Metrics::bump(&self.metrics.runs);
+        let config = request.build_config();
+        let outcome = catch_unwind(AssertUnwindSafe(|| PaCga::new(&instance, config).run()));
+        self.slots.release(weight);
+        let result = match outcome {
+            Ok(outcome) => {
+                Metrics::add(&self.metrics.evaluations, outcome.evaluations);
+                Ok(cached_run(&instance, &outcome))
+            }
+            Err(payload) => Err(format!("engine failed: {}", JobPanic::from_payload(payload))),
+        };
+        {
+            let mut intake = self.intake.lock();
+            if let Ok(run) = &result {
+                self.cache.lock().insert(digest, run.clone());
+            }
+            intake.in_flight.remove(&digest);
+        }
+        flight.finish(result.clone());
+        self.answer(&request, name, result, false, false)
+    }
+
+    fn answer(
+        &self,
+        request: &ScheduleRequest,
+        name: &str,
+        result: Result<CachedRun, String>,
+        cached: bool,
+        coalesced: bool,
+    ) -> Response {
+        match result {
+            Ok(run) => {
+                Metrics::bump(&self.metrics.completed);
+                if coalesced {
+                    Metrics::bump(&self.metrics.coalesced);
+                }
+                result_response(request, name, &run, cached, coalesced)
+            }
+            Err(message) => self.error(request, message),
+        }
+    }
+
+    fn error(&self, request: &ScheduleRequest, message: String) -> Response {
+        Metrics::bump(&self.metrics.errors);
+        Response::Error { id: request.id.clone(), message }
+    }
+
+    fn busy(&self, reason: &str) -> Response {
+        Metrics::bump(&self.metrics.busy);
+        Response::Busy { reason: reason.into() }
     }
 
     fn trigger_shutdown(&self) {
@@ -191,12 +327,9 @@ impl Shared {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return; // already draining
         }
-        // Bridge the queue mutex between raising the flag and notifying:
-        // a scheduler that checked the flag before the store is now
-        // either waiting (and gets the notify) or still holds the lock
-        // (and re-checks after this acquire succeeds) — no lost wakeup.
-        drop(self.queue.lock());
-        self.queue_cv.notify_all();
+        // Bridge the intake mutex: once this returns, no schedule request
+        // can still be admitted past the drain check.
+        drop(self.intake.lock());
         // Park every live job behind a final checkpoint so the next
         // daemon incarnation can resume it.
         if let Some(jobs) = &self.jobs {
@@ -224,8 +357,7 @@ impl Shared {
         let errors = self.metrics.errors.load(Ordering::Relaxed);
         let busy = self.metrics.busy.load(Ordering::Relaxed);
         let coalesced = self.metrics.coalesced.load(Ordering::Relaxed);
-        let batches = self.metrics.batches.load(Ordering::Relaxed);
-        let max_batch = self.metrics.max_batch.load(Ordering::Relaxed);
+        let runs = self.metrics.runs.load(Ordering::Relaxed);
         let evaluations = self.metrics.evaluations.load(Ordering::Relaxed);
         let jobs = self.jobs.as_ref().map(|j| j.counters()).unwrap_or_default();
         StatsSnapshot {
@@ -240,8 +372,7 @@ impl Shared {
             cache_capacity,
             cache_persisted: self.cache_persisted,
             coalesced,
-            batches,
-            max_batch,
+            batches: runs,
             evaluations,
             req_per_sec: completed as f64 / uptime_s.max(1e-9),
             jobs_started: jobs.started,
@@ -266,10 +397,10 @@ pub struct ServeSummary {
     pub cache_hits: u64,
     /// Cache misses over the whole run.
     pub cache_misses: u64,
-    /// In-batch duplicates served by one run.
+    /// Requests answered by riding along on an identical run in flight.
     pub coalesced: u64,
-    /// Portfolio batches executed.
-    pub batches: u64,
+    /// Engine runs started.
+    pub runs: u64,
     /// Total engine evaluations spent.
     pub evaluations: u64,
     /// Cache entries persisted to the `--corpus` store on drain.
@@ -283,7 +414,7 @@ impl std::fmt::Display for ServeSummary {
         write!(
             f,
             "drained cleanly: {} completed, {} errors, {} busy | cache {} hits / {} misses, \
-             {} coalesced, {} persisted | {} batches, {} evaluations | uptime {:.2}s",
+             {} coalesced, {} persisted | {} runs, {} evaluations | uptime {:.2}s",
             self.completed,
             self.errors,
             self.busy,
@@ -291,7 +422,7 @@ impl std::fmt::Display for ServeSummary {
             self.cache_misses,
             self.coalesced,
             self.persisted,
-            self.batches,
+            self.runs,
             self.evaluations,
             self.uptime.as_secs_f64()
         )
@@ -303,7 +434,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    scheduler: JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -318,11 +448,16 @@ impl ServerHandle {
     }
 
     /// Waits for the drain to finish and returns the exit summary.
-    /// Lingering connections are given `grace` to finish before the
-    /// summary is returned anyway.
+    /// Every schedule request admitted before the drain is answered
+    /// first, however long its run takes; lingering connections are then
+    /// given `grace` to finish before the summary is returned anyway.
     pub fn join(self) -> ServeSummary {
         let _ = self.acceptor.join();
-        let _ = self.scheduler.join();
+        let mut intake = self.shared.intake.lock();
+        while intake.admitted > 0 {
+            intake = self.shared.answered.wait(intake);
+        }
+        drop(intake);
         // Job workers were cancelled by the drain trigger; wait for their
         // final checkpoints to land before reporting.
         if let Some(jobs) = &self.shared.jobs {
@@ -352,7 +487,7 @@ impl ServerHandle {
             cache_hits: s.cache_hits,
             cache_misses: s.cache_misses,
             coalesced: s.coalesced,
-            batches: s.batches,
+            runs: s.batches,
             evaluations: s.evaluations,
             persisted,
             uptime: self.shared.start.elapsed(),
@@ -442,9 +577,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         addr,
         workers,
         queue_cap: config.queue_cap,
-        batch_max: config.batch_max.max(1),
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
+        slots: Semaphore::new(workers),
+        intake: Mutex::new(Intake { admitted: 0, waiting: 0, in_flight: HashMap::new() }),
+        answered: Condvar::new(),
         shutdown: AtomicBool::new(false),
         metrics: Metrics::default(),
         cache: Mutex::new(cache),
@@ -460,19 +595,13 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         start: Instant::now(),
     });
 
-    let scheduler = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("pacga-scheduler".into())
-            .spawn(move || scheduler_loop(&shared))?
-    };
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("pacga-acceptor".into())
             .spawn(move || acceptor_loop(listener, &shared))?
     };
-    Ok(ServerHandle { addr, shared, acceptor, scheduler })
+    Ok(ServerHandle { addr, shared, acceptor })
 }
 
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
@@ -532,8 +661,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut writer = BufWriter::new(stream);
     // The connection's schedule-stream session, if one is open. Sessions
-    // are connection-local: the engine runs inline on this thread, so a
-    // session never touches the batching queue or the worker pool.
+    // are connection-local: the engine runs inline on this thread, like a
+    // schedule miss, but takes no engine slot.
     let mut session: Option<StreamSession> = None;
     for line in reader.lines() {
         let line = match line {
@@ -554,16 +683,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 shared.trigger_shutdown();
                 Response::Ok { message: "draining".into() }
             }
-            Ok(Request::Schedule(request)) => match shared.try_enqueue(*request) {
-                Err(reason) => {
-                    Metrics::bump(&shared.metrics.busy);
-                    Response::Busy { reason }
-                }
-                Ok(rx) => rx.recv().unwrap_or_else(|_| {
-                    Metrics::bump(&shared.metrics.errors);
-                    Response::Error { id: None, message: "scheduler unavailable".into() }
-                }),
-            },
+            Ok(Request::Schedule(request)) => shared.schedule(*request),
             Ok(Request::JobStart(request)) => match &shared.jobs {
                 None => job_support_missing(shared),
                 Some(jobs) => match jobs.start(*request) {
@@ -653,9 +773,9 @@ fn handle_stream_open(
             None,
         );
     }
-    // ord: Relaxed — advisory intake gate, same contract as try_enqueue;
-    // a session that slips past a concurrent drain just finishes its
-    // open and is torn down when the socket sees EOF.
+    // ord: Relaxed — advisory intake gate, unlike the schedule admission
+    // it takes no lock; a session that slips past a concurrent drain just
+    // finishes its open and is torn down when the socket sees EOF.
     if shared.shutdown.load(Ordering::Relaxed) {
         Metrics::bump(&shared.metrics.busy);
         return Response::Busy { reason: "draining".into() };
@@ -716,141 +836,6 @@ fn job_error(shared: &Arc<Shared>, message: String) -> Response {
     Response::Error { id: None, message }
 }
 
-fn scheduler_loop(shared: &Arc<Shared>) {
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if !queue.is_empty() {
-                    let take = queue.len().min(shared.batch_max);
-                    break queue.drain(..take).collect();
-                }
-                // ord: Relaxed — checked under the queue mutex; the
-                // drain trigger bridges the same mutex before notifying,
-                // so an empty queue + raised flag is a settled state.
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return; // drained: queue empty under the lock
-                }
-                queue = shared.queue_cv.wait(queue);
-            }
-        };
-        let size = batch.len() as u64;
-        Metrics::bump(&shared.metrics.batches);
-        Metrics::raise(&shared.metrics.max_batch, size);
-        process_batch(shared, batch);
-    }
-}
-
-/// One coalesced unit of engine work: the first job with a given digest
-/// owns the run; identical in-batch requests ride along. Each job keeps
-/// its own resolved instance name — the digest covers the matrix bytes,
-/// not the label, so coalesced requests may have named the same data
-/// differently and each response must echo its requester's name.
-struct PendingRun {
-    instance: etc_model::EtcInstance,
-    config: PaCgaConfig,
-    digest: u64,
-    jobs: Vec<(Job, String)>,
-}
-
-fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    let mut pending: Vec<PendingRun> = Vec::new();
-
-    for job in batch {
-        // Resolve: bad instances are answered immediately, not queued.
-        let instance = match job.request.resolve_instance() {
-            Ok(i) => i,
-            Err(message) => {
-                Metrics::bump(&shared.metrics.errors);
-                let _ = job.reply.send(Response::Error { id: job.request.id.clone(), message });
-                continue;
-            }
-        };
-        // A request may not ask for more engine threads than the pool
-        // has slots: the weight would clamp but the engine would still
-        // spawn every thread, oversubscribing the host.
-        if job.request.threads > shared.workers {
-            Metrics::bump(&shared.metrics.errors);
-            let _ = job.reply.send(Response::Error {
-                id: job.request.id.clone(),
-                message: format!(
-                    "\"threads\" = {} exceeds the server's worker pool ({})",
-                    job.request.threads, shared.workers
-                ),
-            });
-            continue;
-        }
-        let digest = job.request.digest(&instance);
-
-        // Cache pass: an identical earlier request already answered this.
-        let hit = shared.cache.lock().get(digest);
-        if let Some(run) = hit {
-            Metrics::bump(&shared.metrics.completed);
-            let _ =
-                job.reply.send(result_response(&job.request, instance.name(), &run, true, false));
-            continue;
-        }
-
-        // Coalesce: identical request already pending in THIS batch.
-        if let Some(p) = pending.iter_mut().find(|p| p.digest == digest) {
-            let name = instance.name().to_string();
-            p.jobs.push((job, name));
-            continue;
-        }
-        let config = job.request.build_config();
-        let name = instance.name().to_string();
-        pending.push(PendingRun { instance, config, digest, jobs: vec![(job, name)] });
-    }
-
-    if pending.is_empty() {
-        return;
-    }
-
-    // One portfolio submission for the whole batch. Weights are the
-    // per-request engine thread counts, so a batch of 4-thread requests
-    // on a `--workers 4` pool executes one at a time instead of
-    // thrashing 16 threads.
-    let mut portfolio = Portfolio::new().with_workers(shared.workers);
-    for (i, p) in pending.iter().enumerate() {
-        let instance = &p.instance;
-        let config = p.config.clone();
-        let weight = p.config.threads;
-        portfolio.push(
-            RunSpec::new(format!("req{}/{}", i, instance.name()), move || {
-                PaCga::new(instance, config.clone()).run()
-            })
-            .with_weight(weight),
-        );
-    }
-    let report = portfolio.execute();
-
-    for (p, result) in pending.into_iter().zip(report.results) {
-        match result {
-            Err(panic) => {
-                for (job, _) in &p.jobs {
-                    Metrics::bump(&shared.metrics.errors);
-                    let _ = job.reply.send(Response::Error {
-                        id: job.request.id.clone(),
-                        message: format!("engine failed: {panic}"),
-                    });
-                }
-            }
-            Ok(outcome) => {
-                let run = cached_run(&p.instance, &outcome);
-                Metrics::add(&shared.metrics.evaluations, outcome.evaluations);
-                shared.cache.lock().insert(p.digest, run.clone());
-                for (k, (job, name)) in p.jobs.iter().enumerate() {
-                    Metrics::bump(&shared.metrics.completed);
-                    if k > 0 {
-                        Metrics::bump(&shared.metrics.coalesced);
-                    }
-                    let _ = job.reply.send(result_response(&job.request, name, &run, false, k > 0));
-                }
-            }
-        }
-    }
-}
-
 fn cached_run(instance: &etc_model::EtcInstance, outcome: &RunOutcome) -> CachedRun {
     CachedRun {
         instance: instance.name().to_string(),
@@ -863,7 +848,7 @@ fn cached_run(instance: &etc_model::EtcInstance, outcome: &RunOutcome) -> Cached
     }
 }
 
-/// `instance_name` is the REQUESTING job's resolved name, not the
+/// `instance_name` is the REQUESTING request's resolved name, not the
 /// cached run's: the digest ignores labels, so a cache/coalesce answer
 /// may have been computed under a different name than this client used.
 fn result_response(
@@ -922,8 +907,7 @@ mod tests {
             Request::Schedule(r) => *r,
             _ => unreachable!(),
         };
-        let err = handle.shared.try_enqueue(request).unwrap_err();
-        assert_eq!(err, "queue full");
+        assert_eq!(handle.shared.schedule(request), Response::Busy { reason: "queue full".into() });
         handle.shutdown();
         handle.join();
     }
@@ -993,8 +977,7 @@ mod tests {
             Request::Schedule(r) => *r,
             _ => unreachable!(),
         };
-        let err = handle.shared.try_enqueue(request).unwrap_err();
-        assert_eq!(err, "draining");
+        assert_eq!(handle.shared.schedule(request), Response::Busy { reason: "draining".into() });
         handle.join();
     }
 }

@@ -1,9 +1,14 @@
 //! End-to-end daemon tests: a real `serve()` on an ephemeral loopback
-//! port, real TCP clients, full request→batch→portfolio→response round
-//! trips, cache semantics, backpressure, and graceful drain.
+//! port, real TCP clients, full request→engine→response round trips,
+//! cache semantics, in-flight coalescing, the `--workers` bound,
+//! backpressure, and graceful drain.
 
 use pa_cga_service::json::Json;
-use pa_cga_service::{run_load, serve, Client, LoadConfig, ServeConfig, ServerHandle};
+use pa_cga_service::{
+    run_load, serve, Client, LoadConfig, Request, ServeConfig, ServerHandle, StoreReader,
+};
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 fn spawn(config: ServeConfig) -> ServerHandle {
     serve(ServeConfig { addr: "127.0.0.1:0".into(), workers: 2, ..config }).expect("bind loopback")
@@ -13,6 +18,35 @@ fn schedule_line(seed: u64, evals: u64) -> String {
     format!(
         r#"{{"type":"schedule","id":"t{seed}","etc_model":{{"tasks":24,"machines":3,"seed":{seed}}},"evals":{evals},"assignment":true}}"#
     )
+}
+
+/// A Braun 512×16 request of 20 000 evaluations: on a 2-core x86-64
+/// host about 0.14 s of engine time in a release build and 2 s in a
+/// debug build, long next to a 2×2 request.
+fn long_line(seed: u64) -> String {
+    format!(
+        r#"{{"type":"schedule","id":"long{seed}","braun":"u_c_hihi.0","evals":20000,"seed":{seed}}}"#
+    )
+}
+
+/// Sends one request line on a fresh connection and parses the answer.
+fn send(addr: SocketAddr, line: &str) -> Json {
+    let mut client = Client::connect(addr).unwrap();
+    Json::parse(client.send_line(line).unwrap().trim()).unwrap()
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+    v.get(key).unwrap_or_else(|| panic!("no {key:?} in {v}"))
+}
+
+/// Polls `stats` until the daemon has started `n` engine runs.
+fn wait_for_runs(addr: SocketAddr, n: u64) {
+    let mut client = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while field(&client.stats().unwrap(), "batches").as_u64().unwrap() < n {
+        assert!(Instant::now() < deadline, "no engine run started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -199,7 +233,7 @@ fn concurrent_identical_requests_coalesce_or_hit_cache() {
     // 6 connections fire the SAME request at once. However the batches
     // land, exactly one engine run should answer all six: the rest are
     // in-batch coalesces or cross-batch cache hits.
-    let handle = spawn(ServeConfig { batch_max: 8, ..ServeConfig::default() });
+    let handle = spawn(ServeConfig::default());
     let addr = handle.addr();
     let line = schedule_line(9, 800);
     let results: Vec<Json> = std::thread::scope(|scope| {
@@ -271,7 +305,7 @@ fn load_generator_end_to_end_with_shutdown() {
 fn queued_requests_survive_shutdown_drain() {
     // Fill the queue with slow-ish requests from parallel clients, then
     // shut down mid-flight: every accepted request still gets a result.
-    let handle = spawn(ServeConfig { batch_max: 2, ..ServeConfig::default() });
+    let handle = spawn(ServeConfig::default());
     let addr = handle.addr();
     let results: Vec<Json> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..4)
@@ -307,4 +341,120 @@ fn queued_requests_survive_shutdown_drain() {
     let summary = handle.join();
     assert_eq!(summary.completed, completed);
     assert!(completed >= 1, "at least the in-flight batch completes");
+}
+
+#[test]
+fn short_request_is_not_blocked_by_a_long_one() {
+    // The engine evolves without generation barriers; the daemon must not
+    // add one. A small request that arrives while a long run holds one of
+    // the two engine slots is answered at once, not after that run.
+    let handle = spawn(ServeConfig::default());
+    let addr = handle.addr();
+    let (long, long_done, short_done) = std::thread::scope(|scope| {
+        let long = scope.spawn(move || {
+            let v = send(addr, &long_line(1));
+            (v, Instant::now())
+        });
+        wait_for_runs(addr, 1);
+        let short = send(addr, r#"{"type":"schedule","etc":[[1,2],[2,1]],"evals":120}"#);
+        let short_done = Instant::now();
+        assert_eq!(field(&short, "type").as_str(), Some("result"), "{short}");
+        let (long, long_done) = long.join().unwrap();
+        (long, long_done, short_done)
+    });
+    assert_eq!(field(&long, "type").as_str(), Some("result"), "{long}");
+    assert!(
+        short_done < long_done,
+        "the short request was answered {:?} after the long run",
+        short_done - long_done
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn duplicate_arriving_mid_run_rides_along() {
+    // A twin that arrives while its digest is being computed waits for
+    // that run and shares its answer: one engine run for both.
+    let handle = spawn(ServeConfig::default());
+    let addr = handle.addr();
+    let line = long_line(2);
+    let (first, second) = std::thread::scope(|scope| {
+        let first = scope.spawn(|| send(addr, &line));
+        wait_for_runs(addr, 1);
+        let second = send(addr, &line);
+        (first.join().unwrap(), second)
+    });
+    assert_eq!(field(&first, "cached").as_bool(), Some(false), "{first}");
+    assert_eq!(field(&first, "coalesced").as_bool(), Some(false), "{first}");
+    assert_eq!(field(&second, "cached").as_bool(), Some(false), "{second}");
+    assert_eq!(field(&second, "coalesced").as_bool(), Some(true), "{second}");
+    assert_eq!(field(&first, "makespan").as_f64(), field(&second, "makespan").as_f64());
+    assert_eq!(field(&second, "id").as_str(), Some("long2"));
+    handle.shutdown();
+    let summary = handle.join();
+    assert_eq!(summary.runs, 1);
+    assert_eq!(summary.coalesced, 1);
+    assert_eq!(Some(summary.evaluations), field(&first, "evaluations").as_u64());
+}
+
+#[test]
+fn workers_bound_holds_for_concurrent_misses() {
+    // One engine slot: two distinct misses on two connections must run
+    // one after the other, so the wall time covers both engine times.
+    let handle =
+        serve(ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, ..ServeConfig::default() })
+            .expect("bind loopback");
+    let addr = handle.addr();
+    let started = Instant::now();
+    let answers: Vec<Json> = std::thread::scope(|scope| {
+        let clients: Vec<_> =
+            [3, 4].map(|seed| scope.spawn(move || send(addr, &long_line(seed)))).into();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let mut engine_ms = 0.0;
+    for v in &answers {
+        assert_eq!(field(v, "type").as_str(), Some("result"), "{v}");
+        assert_eq!(field(v, "cached").as_bool(), Some(false), "{v}");
+        engine_ms += field(v, "engine_ms").as_f64().unwrap();
+    }
+    assert!(
+        wall_ms >= engine_ms,
+        "runs overlapped: wall {wall_ms:.1} ms < engine {engine_ms:.1} ms"
+    );
+    handle.shutdown();
+    assert_eq!(handle.join().runs, 2);
+}
+
+#[test]
+fn drain_persists_runs_admitted_before_shutdown() {
+    // A shutdown that lands mid-run still answers the request, and the
+    // drain persists its result to the corpus only after the run is done.
+    let dir = std::env::temp_dir().join(format!("pacga-e2e-drain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("drain.pacst");
+    let _ = std::fs::remove_file(&corpus);
+    let handle = spawn(ServeConfig {
+        corpus: Some(corpus.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let line = long_line(5);
+    let answer = std::thread::scope(|scope| {
+        let client = scope.spawn(|| send(addr, &line));
+        wait_for_runs(addr, 1);
+        handle.shutdown();
+        client.join().unwrap()
+    });
+    assert_eq!(field(&answer, "type").as_str(), Some("result"), "{answer}");
+    let summary = handle.join();
+    assert_eq!(summary.persisted, 1);
+
+    let Ok(Request::Schedule(request)) = Request::decode(&line) else { panic!("decodes") };
+    let digest = request.digest(&request.resolve_instance().unwrap());
+    let bests = StoreReader::open_path(&corpus).unwrap().bests().unwrap();
+    let run = bests.iter().find(|(d, _)| *d == digest).map(|(_, run)| run);
+    assert_eq!(run.map(|r| r.makespan), field(&answer, "makespan").as_f64(), "{bests:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,10 +30,11 @@
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
 #   2d flake the already-built jobs_e2e, stream_e2e and service_e2e test
-#            binaries plus the pa-cga-cli SIGKILL tests job_kill_resume
-#            and stream_kill_resume (the recovery path), 10 rounds of 4
-#            parallel copies each; any failing copy fails the stage
-#            (~160s on 2 cores; skipped under --fast)
+#            binaries, the pa_cga_service lib tests filtered to server::
+#            (the schedule intake and drain), plus the pa-cga-cli SIGKILL
+#            tests job_kill_resume and stream_kill_resume (the recovery
+#            path), 10 rounds of 4 parallel copies each; any failing copy
+#            fails the stage (skipped under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
 #   4 bench  bench smoke (every criterion bench body runs once) plus the
 #            perf-regression gate: scripts/bench_check.sh --self-test,
@@ -223,25 +224,35 @@ else
   # threads); running copies side by side on a loaded host is what
   # surfaces an ordering bug that a single serial run hides. Only test
   # artifacts are kept: the kill tests also build the `pacga` bin, which
-  # cargo lists too.
+  # cargo lists too. The service lib binary runs its `server::` tests
+  # only; the rest of that suite is not timing-sensitive.
   FLAKE_BINS=()
-  while IFS= read -r bin; do
+  FLAKE_FILTERS=()
+  while IFS= read -r artifact; do
+    bin="$(sed -n 's/.*"executable":"\([^"]*\)".*/\1/p' <<<"$artifact")"
+    [[ -n "$bin" ]] || continue
     FLAKE_BINS+=("$bin")
-  done < <(cargo test -q -p pa_cga_service -p pa-cga-cli --test jobs_e2e \
+    if grep -q '"kind":\["lib"\]' <<<"$artifact"; then
+      FLAKE_FILTERS+=("server::")
+    else
+      FLAKE_FILTERS+=("")
+    fi
+  done < <(cargo test -q -p pa_cga_service -p pa-cga-cli --lib --test jobs_e2e \
     --test stream_e2e --test service_e2e --test job_kill_resume \
     --test stream_kill_resume --no-run --message-format=json \
-    | grep '"kind":\["test"\]' \
-    | sed -n 's/.*"executable":"\([^"]*\)".*/\1/p')
-  [[ "${#FLAKE_BINS[@]}" == 5 ]] || {
-    echo "flake: expected 5 test binaries, found ${#FLAKE_BINS[@]}" >&2
+    | grep -E '"kind":\["(test|lib)"\]')
+  [[ "${#FLAKE_BINS[@]}" == 6 ]] || {
+    echo "flake: expected 6 test binaries, found ${#FLAKE_BINS[@]}" >&2
     exit 1
   }
   FLAKE_DIR="$(mktemp -d)"
-  for bin in "${FLAKE_BINS[@]}"; do
+  for i in "${!FLAKE_BINS[@]}"; do
+    bin="${FLAKE_BINS[$i]}"
+    filter="${FLAKE_FILTERS[$i]}"
     for round in $(seq 1 10); do
       pids=()
       for copy in 1 2 3 4; do
-        "$bin" -q >"$FLAKE_DIR/$copy.log" 2>&1 &
+        "$bin" -q ${filter:+"$filter"} >"$FLAKE_DIR/$copy.log" 2>&1 &
         pids+=($!)
       done
       failed=0
